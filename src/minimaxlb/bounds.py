@@ -25,9 +25,10 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .loss import LossSpec, RatePower, eval_rho, omega
-from .models import Model
-from .numerics import (Interval, gaussian_tail, integrate_semi_infinite,
-                       maximize_1d, maximize_simplex)
+from .models import Model, _separation
+from .numerics import (INV_PHI, INV_PHI2, Interval, gaussian_tail,
+                       integrate_semi_infinite, maximize_1d, maximize_simplex,
+                       maximize_zoom)
 
 __all__ = [
     "BoundReport",
@@ -45,9 +46,6 @@ __all__ = [
     "pairwise_ring_bound",
     "pairwise_allpairs_bound",
 ]
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 _DEFAULT_S_DOMAIN = Interval(0.0, 20.0)
 
@@ -184,18 +182,6 @@ def _require_pe_pair(model: Model):
     return limit.pe_pair
 
 
-def _check_local_omega(loss: LossSpec):
-    if loss.kind == "custom" and loss.omega_fn is None:
-        raise ValueError("custom loss without a supplied omega is not usable "
-                         "in local bounds")
-
-
-def _sep(theta0, theta1) -> float:
-    a = np.atleast_1d(np.asarray(theta0, dtype=float))
-    b = np.atleast_1d(np.asarray(theta1, dtype=float))
-    return float(np.linalg.norm(b - a))
-
-
 def _as_domain(domain) -> Interval:
     if domain is None:
         return _DEFAULT_S_DOMAIN
@@ -205,51 +191,34 @@ def _as_domain(domain) -> Interval:
     return Interval(float(lo), float(hi))
 
 
+def _pair_risk(pe, a, b):
+    """Unnormalized Bayes error G(a, b) = (a+b) * pe(a/(a+b)) of a pair of
+    hypotheses with prior masses a and b: the pair's error probability
+    weighted by the mass it carries.  pe(c) is the pair error with prior c on
+    the first hypothesis; G is 0 where a + b = 0."""
+    mass = a + b
+    safe = mass > 0.0
+    c = np.where(safe, a / np.where(safe, mass, 1.0), 0.5)
+    return np.where(safe, mass * np.asarray(pe(c), dtype=float), 0.0)
+
+
 def _vec_max_01(fvec, grid: int = 1025):
-    """Maximize a vectorized scalar function on [0, 1] by scan plus zoom."""
-    xs = np.linspace(0.0, 1.0, grid)
-    vals = np.asarray(fvec(xs), dtype=float)
-    i = int(np.nanargmax(vals))
-    best_x = float(xs[i])
-    half = 1.0 / (grid - 1)
-    steps = np.linspace(-1.0, 1.0, 13)
-    best_v = float(vals[i])
-    while half > 1e-12:
-        cand = np.clip(best_x + half * steps, 0.0, 1.0)
-        vals = np.asarray(fvec(cand), dtype=float)
-        j = int(np.nanargmax(vals))
-        if vals[j] > best_v:
-            best_v = float(vals[j])
-            best_x = float(cand[j])
-        half *= 0.35
-    final = float(np.asarray(fvec(np.array([best_x])), dtype=float)[0])
-    return best_x, final
+    """Maximize a vectorized scalar function on [0, 1] by scan plus zoom;
+    returns (argmax, value)."""
+    opt = maximize_zoom(lambda x: fvec(x[:, 0]),
+                        np.linspace(0.0, 1.0, grid)[:, None],
+                        1.0 / (grid - 1), 1e-12)
+    return opt.argmax[0], opt.value
 
 
 def _max_box2(fvec, grid: int = 65):
-    """Maximize a vectorized function over [0,1]^2; fvec maps (m,2) -> (m,)."""
-    xs = np.linspace(0.0, 1.0, grid)
-    xx, yy = np.meshgrid(xs, xs)
-    rows = np.column_stack([xx.ravel(), yy.ravel()])
-    vals = np.asarray(fvec(rows), dtype=float)
-    i = int(np.nanargmax(vals))
-    best = rows[i].copy()
-    best_v = float(vals[i])
-    half = 1.0 / (grid - 1)
-    steps = np.linspace(-1.0, 1.0, 13)
-    while half > 1e-12:
-        gx = np.clip(best[0] + half * steps, 0.0, 1.0)
-        gy = np.clip(best[1] + half * steps, 0.0, 1.0)
-        xx, yy = np.meshgrid(gx, gy)
-        rows = np.column_stack([xx.ravel(), yy.ravel()])
-        vals = np.asarray(fvec(rows), dtype=float)
-        j = int(np.nanargmax(vals))
-        if vals[j] > best_v:
-            best_v = float(vals[j])
-            best = rows[j].copy()
-        half *= 0.35
-    final = float(np.asarray(fvec(best[None, :]), dtype=float)[0])
-    return (float(best[0]), float(best[1])), final
+    """Maximize a vectorized function over [0,1]^2; fvec maps (m,2) -> (m,).
+    Returns ((x, y), value)."""
+    xx, yy = np.meshgrid(np.linspace(0.0, 1.0, grid),
+                         np.linspace(0.0, 1.0, grid))
+    opt = maximize_zoom(fvec, np.column_stack([xx.ravel(), yy.ravel()]),
+                        1.0 / (grid - 1), 1e-12)
+    return opt.argmax, opt.value
 
 
 def _rowwise_max_01(f, k: int, grid: int = 17, iters: int = 48):
@@ -272,8 +241,8 @@ def _rowwise_max_01(f, k: int, grid: int = 17, iters: int = 48):
     b = us[np.minimum(best_i + 1, grid - 1)].astype(float)
     for _ in range(iters):
         h = b - a
-        c = a + _INV_PHI2 * h
-        d = a + _INV_PHI * h
+        c = a + INV_PHI2 * h
+        d = a + INV_PHI * h
         yc = np.asarray(f(c), dtype=float)
         yd = np.asarray(f(d), dtype=float)
         left = yc >= yd
@@ -302,7 +271,7 @@ def two_point_bound(model: Model, loss: LossSpec, theta0, theta1,
     if not (loss.convex and loss.symmetric):
         raise ValueError("two_point_bound needs a convex symmetric loss; "
                          "use concave_two_point_bound instead")
-    rho_half = eval_rho(loss, _sep(theta0, theta1) / 2.0)
+    rho_half = eval_rho(loss, _separation(theta0, theta1) / 2.0)
 
     def objective(q: float) -> float:
         return 2.0 * rho_half * float(oracle.pe(q, theta0, theta1, n))
@@ -323,7 +292,7 @@ def concave_two_point_bound(model: Model, loss: LossSpec, theta0, theta1,
     one survives: value = max_q rho(theta1 - theta0) * P_e(q, theta0, theta1).
     """
     oracle = _require_oracle(model)
-    rho_full = eval_rho(loss, _sep(theta0, theta1))
+    rho_full = eval_rho(loss, _separation(theta0, theta1))
 
     def objective(q: float) -> float:
         return rho_full * float(oracle.pe(q, theta0, theta1, n))
@@ -350,7 +319,6 @@ def local_two_point_bound(model: Model, loss: LossSpec, theta: float = 1.0,
     prior search on asymmetric models.
     """
     limit = _require_limit(model)
-    _check_local_omega(loss)
     domain = _as_domain(s_domain)
     pe_fn = limit.pe_inf_halfprior if half_prior else limit.pe_inf
     if pe_fn is None:
@@ -410,13 +378,9 @@ def moment_two_point_bound(model: Model, t: float, theta: float = 1.0,
     def rows_value(delta: float, qr: np.ndarray) -> np.ndarray:
         q = qr[:, 0]
         r = qr[:, 1]
-        w1 = (1.0 - r) ** (t - 1.0) * q
-        w2 = r ** (t - 1.0) * (1.0 - q)
-        mass = w1 + w2
-        safe = mass > 0.0
-        c = np.where(safe, w1 / np.where(safe, mass, 1.0), 0.5)
-        pe = np.asarray(pe_at(delta, c), dtype=float)
-        return delta ** t * np.where(safe, mass * pe, 0.0)
+        return delta ** t * _pair_risk(lambda c: pe_at(delta, c),
+                                       (1.0 - r) ** (t - 1.0) * q,
+                                       r ** (t - 1.0) * (1.0 - q))
 
     def inner(delta: float):
         if r_fixed is not None:
@@ -459,22 +423,10 @@ def _three_point_engine(pe_left, pe_right, domain: Interval, inner_prior: str,
     """
 
     def left_term(delta, u, q, r):
-        a = (1.0 - u) * q
-        b = u * r
-        mass = a + b
-        safe = mass > 0.0
-        c = np.where(safe, a / np.where(safe, mass, 1.0), 0.5)
-        pe = np.asarray(pe_left(delta, c), dtype=float)
-        return np.where(safe, mass * pe, 0.0)
+        return _pair_risk(lambda c: pe_left(delta, c), (1.0 - u) * q, u * r)
 
     def right_term(delta, v, r, w):
-        a = v * r
-        b = (1.0 - v) * w
-        mass = a + b
-        safe = mass > 0.0
-        c = np.where(safe, a / np.where(safe, mass, 1.0), 0.5)
-        pe = np.asarray(pe_right(delta, c), dtype=float)
-        return np.where(safe, mass * pe, 0.0)
+        return _pair_risk(lambda c: pe_right(delta, c), v * r, (1.0 - v) * w)
 
     def pinned_uv(q, r, w):
         qr = q + r
@@ -513,31 +465,22 @@ def _three_point_engine(pe_left, pe_right, domain: Interval, inner_prior: str,
             q, r, w = opt.argmax
 
         if inner_prior == "half":
-            u, v = pinned_uv(np.asarray(q), np.asarray(r), np.asarray(w))
-            u, v = float(u), float(v)
+            u, v = (float(x) for x in pinned_uv(q, r, w))
         else:
-            ua, _ = _rowwise_max_01(
-                lambda uu: left_term(delta, uu, np.array([q]), np.array([r])),
-                1, grid=33, iters=60)
-            va, _ = _rowwise_max_01(
-                lambda vv: right_term(delta, vv, np.array([r]), np.array([w])),
-                1, grid=33, iters=60)
+            ua, _ = _rowwise_max_01(lambda uu: left_term(delta, uu, q, r),
+                                    1, grid=33, iters=60)
+            va, _ = _rowwise_max_01(lambda vv: right_term(delta, vv, r, w),
+                                    1, grid=33, iters=60)
             u, v = float(ua[0]), float(va[0])
-        value = float(delta ** 2 * (left_term(delta, np.array([u]), np.array([q]),
-                                              np.array([r]))[0]
-                                    + right_term(delta, np.array([v]), np.array([r]),
-                                                 np.array([w]))[0]))
-        return (float(q), float(r), float(w), u, v), value
+        return (q, r, w, u, v), objective(delta, q, r, w, u, v)
+
+    def objective(delta, q, r, w, u, v):
+        return float(delta ** 2 * (left_term(delta, u, q, r)
+                                   + right_term(delta, v, r, w)))
 
     outer = maximize_1d(lambda d: inner(d)[1], domain)
     d_star = outer.argmax[0]
     (q, r, w, u, v), _ = inner(d_star)
-
-    def objective(delta, q, r, w, u, v):
-        lt = left_term(delta, np.array([u]), np.array([q]), np.array([r]))[0]
-        rt = right_term(delta, np.array([v]), np.array([r]), np.array([w]))[0]
-        return float(delta ** 2 * (lt + rt))
-
     argmax = {"delta": d_star, "q": q, "r": r, "w": w, "u": u, "v": v}
     return argmax, objective
 
@@ -791,6 +734,17 @@ def _validate_points_weights(thetas, weights):
     return w
 
 
+def _pair_term(oracle, loss: LossSpec, thetas, w, i: int, j: int,
+               n: int) -> float:
+    """rho(|theta_j - theta_i|/2) * G(w_i, w_j) for one pair of test points;
+    a pair without prior mass contributes 0 and is not evaluated."""
+    if w[i] + w[j] <= 0.0:
+        return 0.0
+    rho = eval_rho(loss, _separation(thetas[i], thetas[j]) / 2.0)
+    return rho * float(_pair_risk(
+        lambda c: oracle.pe(c, thetas[i], thetas[j], n), w[i], w[j]))
+
+
 def pairwise_ring_bound(model: Model, loss: LossSpec, thetas: Sequence,
                         weights: Sequence, n: int = 1) -> BoundReport:
     """Ring combiner: each consecutive pair (cyclically) contributes a
@@ -807,16 +761,8 @@ def pairwise_ring_bound(model: Model, loss: LossSpec, thetas: Sequence,
     m = len(thetas)
 
     def objective() -> float:
-        total = 0.0
-        for i in range(m):
-            j = (i + 1) % m
-            mass = w[i] + w[j]
-            if mass <= 0.0:
-                continue
-            sep = _sep(thetas[i], thetas[j])
-            total += eval_rho(loss, sep / 2.0) * mass * \
-                float(oracle.pe(w[i] / mass, thetas[i], thetas[j], n))
-        return total
+        return sum(_pair_term(oracle, loss, thetas, w, i, (i + 1) % m, n)
+                   for i in range(m))
 
     return BoundReport(bound_id="ring", model_id=model.id, value=objective(),
                        loss=loss, argmax={}, objective=objective)
@@ -837,18 +783,8 @@ def pairwise_allpairs_bound(model: Model, loss: LossSpec, thetas: Sequence,
     m = len(thetas)
 
     def objective() -> float:
-        total = 0.0
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    continue
-                mass = w[i] + w[j]
-                if mass <= 0.0:
-                    continue
-                sep = _sep(thetas[i], thetas[j])
-                total += eval_rho(loss, sep / 2.0) * mass * \
-                    float(oracle.pe(w[i] / mass, thetas[i], thetas[j], n))
-        return total / (m - 1)
+        return sum(_pair_term(oracle, loss, thetas, w, i, j, n)
+                   for i in range(m) for j in range(m) if i != j) / (m - 1)
 
     return BoundReport(bound_id="all-pairs", model_id=model.id,
                        value=objective(), loss=loss, argmax={},

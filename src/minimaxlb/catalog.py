@@ -43,24 +43,6 @@ BOUND_IDS = (
     "mc-pe",
 )
 
-# model-construction parameters, per model id; everything else in a params
-# map belongs to the bound computation
-_MODEL_KEYS = {
-    "gauss-location": ("sigma",),
-    "awgn-smooth": ("pdot", "n0"),
-    "awgn-rect": ("power", "n0", "pulse_width"),
-    "exp-family": ("sigma", "h"),
-    "nuisance-rotation": ("sigma",),
-}
-
-_SAMPLERS = {
-    "gauss-location": lambda p: models.GaussianLocationSampler(
-        float(p.get("sigma", 1.0))),
-    "uniform-scale": lambda p: models.UniformScaleSampler(),
-    "uniform-location": lambda p: models.UniformLocationSampler(),
-    "exp-rate": lambda p: models.ExponentialRateSampler(),
-}
-
 
 @dataclass
 class ReproEntry:
@@ -167,8 +149,8 @@ def compute_bound(model_id: str, bound_id: str, loss: LossSpec, params: dict,
     if bound_id not in BOUND_IDS:
         raise ValueError(f"unknown bound id: {bound_id!r} "
                          f"(known: {', '.join(BOUND_IDS)})")
-    model_params = {k: float(params[k]) for k in _MODEL_KEYS.get(model_id, ())
-                    if k in params}
+    model_params = {k: float(params[k])
+                    for k in models.MODEL_PARAMS.get(model_id, ()) if k in params}
     model = models.get_model(model_id, **model_params)
 
     theta = float(params.get("theta", 1.0))
@@ -241,11 +223,10 @@ def compute_bound(model_id: str, bound_id: str, loss: LossSpec, params: dict,
 
     # mc-pe: Monte-Carlo estimate of a model's binary MAP error, wrapped in a
     # report so the rendering paths stay uniform
-    if model_id not in _SAMPLERS:
+    if model.sampler is None:
         raise ValueError(f"model {model_id!r} has no sampler for mc-pe")
-    sampler = _SAMPLERS[model_id](params)
     est = models.monte_carlo_pe(
-        sampler, float(params.get("q", 0.5)), float(params["theta0"]),
+        model.sampler, float(params.get("q", 0.5)), float(params["theta0"]),
         float(params["theta1"]), n, int(params.get("trials", 100_000)),
         DEFAULT_MC_SEED if seed is None else int(seed))
     return bounds.BoundReport(

@@ -22,6 +22,7 @@ limit, not only the q-maximized one.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
@@ -49,6 +50,7 @@ __all__ = [
     "monte_carlo_pe",
     "get_model",
     "MODEL_IDS",
+    "MODEL_PARAMS",
 ]
 
 
@@ -79,7 +81,6 @@ class LocalErrorLimit:
     pe_inf: Callable
     rate: RatePower
     pe_inf_halfprior: Optional[Callable] = None
-    optimal_q: Optional[Callable] = None
     pe_pair: Optional[Callable] = None
 
 
@@ -226,7 +227,7 @@ def gaussian_location_limit(sigma: float) -> LocalErrorLimit:
         return binary_gaussian_error(q, float(delta) / sigma)
 
     return LocalErrorLimit(pe_inf=pe_inf, rate=rate, pe_inf_halfprior=pe_inf,
-                           optimal_q=lambda theta, s: 0.5, pe_pair=pe_pair)
+                           pe_pair=pe_pair)
 
 
 def uniform_scale_limit() -> LocalErrorLimit:
@@ -247,10 +248,6 @@ def uniform_scale_limit() -> LocalErrorLimit:
         _check(theta)
         return 0.5 * np.exp(-2.0 * np.asarray(s, dtype=float) / theta)
 
-    def optimal_q(theta, s):
-        _check(theta)
-        return 1.0 / (1.0 + math.exp(2.0 * s / theta))
-
     def pe_pair(theta, delta, q):
         _check(theta)
         q = np.asarray(q, dtype=float)
@@ -258,7 +255,7 @@ def uniform_scale_limit() -> LocalErrorLimit:
         return float(out) if out.ndim == 0 else out
 
     return LocalErrorLimit(pe_inf=pe_inf, rate=rate, pe_inf_halfprior=pe_half,
-                           optimal_q=optimal_q, pe_pair=pe_pair)
+                           pe_pair=pe_pair)
 
 
 def uniform_location_limit() -> LocalErrorLimit:
@@ -275,7 +272,7 @@ def uniform_location_limit() -> LocalErrorLimit:
         return float(out) if out.ndim == 0 else out
 
     return LocalErrorLimit(pe_inf=pe_inf, rate=rate, pe_inf_halfprior=pe_inf,
-                           optimal_q=lambda theta, s: 0.5, pe_pair=pe_pair)
+                           pe_pair=pe_pair)
 
 
 def awgn_signal_limit(kind: str, *, pdot: float = None, n0: float = None,
@@ -306,8 +303,7 @@ def awgn_signal_limit(kind: str, *, pdot: float = None, n0: float = None,
             return binary_gaussian_error(q, coef * float(delta))
 
         return LocalErrorLimit(pe_inf=pe_inf, rate=rate,
-                               pe_inf_halfprior=pe_inf,
-                               optimal_q=lambda theta, s: 0.5, pe_pair=pe_pair)
+                               pe_inf_halfprior=pe_inf, pe_pair=pe_pair)
 
     if kind == "rect":
         if power is None or n0 is None or pulse_width is None or \
@@ -323,8 +319,7 @@ def awgn_signal_limit(kind: str, *, pdot: float = None, n0: float = None,
             return binary_gaussian_error(q, 2.0 * math.sqrt(scale * float(delta)))
 
         return LocalErrorLimit(pe_inf=pe_inf, rate=rate,
-                               pe_inf_halfprior=pe_inf,
-                               optimal_q=lambda theta, s: 0.5, pe_pair=pe_pair)
+                               pe_inf_halfprior=pe_inf, pe_pair=pe_pair)
 
     raise ValueError(f"unknown waveform kind: {kind!r}")
 
@@ -347,7 +342,7 @@ def exp_family_limit(fisher: Callable[[float], float]) -> LocalErrorLimit:
         return binary_gaussian_error(q, float(delta) * math.sqrt(_info(theta)))
 
     return LocalErrorLimit(pe_inf=pe_inf, rate=rate, pe_inf_halfprior=pe_inf,
-                           optimal_q=lambda theta, s: 0.5, pe_pair=pe_pair)
+                           pe_pair=pe_pair)
 
 
 def fisher_from_log_partition(log_z: Callable[[float], float], theta: float,
@@ -593,6 +588,12 @@ _FACTORIES = {
 }
 
 MODEL_IDS = tuple(sorted(_FACTORIES))
+
+# float-valued construction parameters per model, read off the factory
+# signatures; exp-family's ``fisher`` callable is not among them
+MODEL_PARAMS = {mid: tuple(k for k, p in inspect.signature(f).parameters.items()
+                           if isinstance(p.default, float))
+                for mid, f in _FACTORIES.items()}
 
 
 def get_model(model_id: str, **params) -> Model:

@@ -24,13 +24,14 @@ __all__ = [
     "gaussian_tail",
     "maximize_1d",
     "maximize_simplex",
+    "maximize_zoom",
     "integrate_adaptive",
     "integrate_semi_infinite",
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0   # 1/phi, golden-section step
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0   # 1/phi, golden-section step
+INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 
 
 class QuadratureError(ArithmeticError):
@@ -102,21 +103,19 @@ def _as_interval(domain) -> Interval:
     return Interval(float(lo), float(hi))
 
 
-def maximize_1d(f: Callable[[float], float], domain, tol: float = 1e-7,
-                *, cells: int = 512) -> OptResult:
+def maximize_1d(f: Callable[[float], float], domain, *,
+                cells: int = 512) -> OptResult:
     """Maximize a scalar function on a finite interval.
 
     Coarse scan on a uniform grid of at least 512 cells, then golden-section
-    refinement inside the bracket around the best grid point.  The returned
-    value never falls below the best grid evaluation, so for unimodal
-    objectives it is within ``tol`` of the global maximum and in practice far
-    closer.  NaN evaluations are treated as -inf.
+    refinement inside the two cells flanking the best grid point, until the
+    bracket is no wider than max(1e-12, 1e-10 * max(1, |lo|, |hi|)).  The
+    returned value never falls below the best grid evaluation.  NaN
+    evaluations are treated as -inf.
     """
     domain = _as_interval(domain)
     if not domain.finite:
         raise ValueError("maximize_1d requires a finite interval")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     cells = max(int(cells), 512)
 
     lo, hi = domain.lo, domain.hi
@@ -137,26 +136,25 @@ def maximize_1d(f: Callable[[float], float], domain, tol: float = 1e-7,
         if v > best_v:
             best_v, best_x, best_i = v, xs[i], i
 
-    # Golden-section inside the two cells flanking the best grid point.
     a = xs[max(best_i - 1, 0)]
     b = xs[min(best_i + 1, cells)]
     xtol = max(1e-12, 1e-10 * max(1.0, abs(lo), abs(hi)))
     h = b - a
     if h > xtol:
-        c = a + _INV_PHI2 * h
-        d = a + _INV_PHI * h
+        c = a + INV_PHI2 * h
+        d = a + INV_PHI * h
         yc = call(c)
         yd = call(d)
         while h > xtol:
             if yc >= yd:
                 b, d, yd = d, c, yc
                 h = b - a
-                c = a + _INV_PHI2 * h
+                c = a + INV_PHI2 * h
                 yc = call(c)
             else:
                 a, c, yc = c, d, yd
                 h = b - a
-                d = a + _INV_PHI * h
+                d = a + INV_PHI * h
                 yd = call(d)
             if yc > best_v:
                 best_v, best_x = yc, c
@@ -166,89 +164,89 @@ def maximize_1d(f: Callable[[float], float], domain, tol: float = 1e-7,
     return OptResult(argmax=(float(best_x),), value=best_v, evaluations=evals)
 
 
-def _simplex_rows(points_2d: np.ndarray, dim: int) -> np.ndarray:
-    """Lift (dim-1)-dimensional coordinates to simplex weight rows."""
-    if dim == 2:
-        q = points_2d[:, 0]
-        return np.column_stack([q, 1.0 - q])
-    q = points_2d[:, 0]
-    r = points_2d[:, 1]
-    return np.column_stack([q, r, 1.0 - q - r])
+_ZOOM_STEPS = np.linspace(-1.0, 1.0, 13)
 
 
-def maximize_simplex(f, dim: int, tol: float = 1e-7, *,
-                     vectorized: bool = False) -> OptResult:
+def maximize_zoom(f, scan: np.ndarray, half: float, stop: float,
+                  lift=None) -> OptResult:
+    """Maximize a vectorized f over coordinates in [0, 1]^d, d = 1 or 2.
+
+    f maps an (m, k) array of rows to m values; NaN counts as -inf.  After
+    the (m, d) ``scan`` points, a stencil of 13 points per axis, clipped to
+    [0, 1], is laid around the incumbent, which moves only on a strict
+    improvement; its half-width starts at ``half`` and shrinks by 0.35 per
+    round while it exceeds ``stop``.  ``lift``, if given, maps coordinates to
+    (kept coordinates, one row per kept point), dropping infeasible points;
+    otherwise the rows are the coordinates.  ``value`` is f re-evaluated at
+    the returned row; ``evaluations`` counts rows.
+    """
+    evals = 0
+
+    def batch(coords):
+        nonlocal evals
+        coords, rows = (coords, coords) if lift is None else lift(coords)
+        evals += len(rows)
+        vals = np.asarray(f(rows), dtype=float)
+        return coords, np.where(np.isnan(vals), -np.inf, vals)
+
+    coords, vals = batch(scan)
+    i = int(np.argmax(vals))
+    best = coords[i].copy()
+    best_v = float(vals[i])
+    while half > stop:
+        axes = [np.clip(x + half * _ZOOM_STEPS, 0.0, 1.0) for x in best]
+        if len(axes) == 1:
+            cand = axes[0][:, None]
+        else:
+            xx, yy = np.meshgrid(*axes)
+            cand = np.column_stack([xx.ravel(), yy.ravel()])
+        cand, vals = batch(cand)
+        j = int(np.argmax(vals))
+        if vals[j] > best_v:
+            best_v = float(vals[j])
+            best = cand[j].copy()
+        half *= 0.35
+
+    row = best[None, :] if lift is None else lift(best[None, :])[1]
+    final = float(np.asarray(f(row), dtype=float)[0])
+    return OptResult(argmax=tuple(float(x) for x in row[0]), value=final,
+                     evaluations=evals + 1)
+
+
+def _lift_simplex2(c: np.ndarray):
+    rows = np.column_stack([c[:, 0], 1.0 - c[:, 0]])
+    return c, np.clip(rows, 0.0, 1.0, out=rows)
+
+
+def _lift_simplex3(c: np.ndarray):
+    c = c[c.sum(axis=1) <= 1.0 + 1e-15]
+    rows = np.column_stack([c[:, 0], c[:, 1], 1.0 - c[:, 0] - c[:, 1]])
+    return c, np.clip(rows, 0.0, 1.0, out=rows)
+
+
+def maximize_simplex(f, dim: int, *, vectorized: bool = False) -> OptResult:
     """Maximize f over the probability simplex with ``dim`` weights.
 
     f receives a weight vector (length ``dim``, nonnegative, summing to one).
     With ``vectorized=True`` it instead receives an (m, dim) array and must
     return m values; the search is identical, only cheaper.
 
-    Barycentric grid scan followed by shrinking local grids around the
-    incumbent.  Supports dim 2 and 3, which is all the multi-point bounds use.
+    Barycentric grid scan (1025 points for dim 2, step 1/64 for dim 3)
+    followed by maximize_zoom's shrinking local grids around the incumbent,
+    down to a half-width of 1e-11.  Supports dim 2 and 3, which is all the
+    multi-point bounds use.
     """
     if dim not in (2, 3):
         raise ValueError("maximize_simplex supports dim 2 or 3 only")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-
-    evals = 0
-
-    def batch(points_2d: np.ndarray) -> np.ndarray:
-        nonlocal evals
-        rows = _simplex_rows(points_2d, dim)
-        np.clip(rows, 0.0, 1.0, out=rows)
-        evals += len(rows)
-        if vectorized:
-            vals = np.asarray(f(rows), dtype=float)
-        else:
-            vals = np.array([float(f(row)) for row in rows], dtype=float)
-        vals = np.where(np.isnan(vals), -np.inf, vals)
-        return vals
-
+    fvec = f if vectorized else (
+        lambda rows: np.array([float(f(row)) for row in rows], dtype=float))
     if dim == 2:
-        grid = np.linspace(0.0, 1.0, 1025)[:, None]
-    else:
-        k = 64
-        ij = [(i, j) for i in range(k + 1) for j in range(k + 1 - i)]
-        grid = np.array(ij, dtype=float) / k
-
-    vals = batch(grid)
-    best = int(np.argmax(vals))
-    best_pt = grid[best].copy()
-    best_val = float(vals[best])
-
-    # Local refinement: re-grid a shrinking box around the incumbent, clipped
-    # to the simplex.  Box half-width decays geometrically to ~1e-11.
-    half = 1.0 / (16 if dim == 2 else 64)
-    steps = np.linspace(-1.0, 1.0, 13)
-    while half > 1e-11:
-        if dim == 2:
-            cand = best_pt[0] + half * steps
-            cand = np.clip(cand, 0.0, 1.0)[:, None]
-        else:
-            gx = np.clip(best_pt[0] + half * steps, 0.0, 1.0)
-            gy = np.clip(best_pt[1] + half * steps, 0.0, 1.0)
-            xx, yy = np.meshgrid(gx, gy)
-            cand = np.column_stack([xx.ravel(), yy.ravel()])
-            cand = cand[cand.sum(axis=1) <= 1.0 + 1e-15]
-        vals = batch(cand)
-        j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best_val = float(vals[j])
-            best_pt = cand[j].copy()
-        half *= 0.35
-
-    weights = _simplex_rows(best_pt[None, :], dim)[0]
-    weights = np.clip(weights, 0.0, 1.0)
-    # Re-evaluate once at the returned point so value matches argmax exactly.
-    if vectorized:
-        final = float(np.asarray(f(weights[None, :]), dtype=float)[0])
-    else:
-        final = float(f(weights))
-    evals += 1
-    return OptResult(argmax=tuple(float(w) for w in weights),
-                     value=final, evaluations=evals)
+        return maximize_zoom(fvec, np.linspace(0.0, 1.0, 1025)[:, None],
+                             1.0 / 16, 1e-11, _lift_simplex2)
+    k = 64
+    grid = np.array([(i, j) for i in range(k + 1) for j in range(k + 1 - i)],
+                    dtype=float) / k
+    return maximize_zoom(fvec, grid, 1.0 / k, 1e-11, _lift_simplex3)
 
 
 def _adaptive_simpson(f, a, fa, m, fm, b, fb, whole, tol, depth):

@@ -402,6 +402,69 @@ class TestPairwiseSums:
             mx.pairwise_ring_bound(gauss, LossSpec.mse(), [0.0], [1.0])
 
 
+# min{c, (1-c) e^-0.7}, the uniform-scale pair error at spacing 0.7: a kink
+# at its maximizer c* = e^-0.7 / (1 + e^-0.7), where the value is c* too
+KINK_ARG = math.exp(-0.7) / (1.0 + math.exp(-0.7))
+
+
+def _kink(c):
+    return np.minimum(c, (1.0 - c) * math.exp(-0.7))
+
+
+class TestInnerSearches:
+    @pytest.mark.parametrize("fvec, arg, value", [
+        (lambda x: -(x - 0.3137) ** 2, 0.3137, 0.0),
+        (lambda x: x, 1.0, 1.0),
+        (_kink, KINK_ARG, KINK_ARG),
+    ], ids=["interior", "edge", "kink"])
+    def test_vec_max_01(self, fvec, arg, value):
+        x, val = bounds._vec_max_01(fvec)
+        assert abs(x - arg) < 1e-9
+        assert abs(val - value) < 1e-12
+        assert val == fvec(np.array([x]))[0]
+
+    @pytest.mark.parametrize("fvec, arg, value", [
+        (lambda p: -(p[:, 0] - 0.3137) ** 2 - (p[:, 1] - 0.61) ** 2,
+         (0.3137, 0.61), 0.0),
+        (lambda p: p[:, 0] + p[:, 1], (1.0, 1.0), 2.0),
+        (lambda p: p[:, 0] - (p[:, 1] - 0.4) ** 2, (1.0, 0.4), 1.0),
+        (lambda p: np.minimum(p[:, 0], 1.0 - p[:, 0]) + _kink(p[:, 1]),
+         (0.5, KINK_ARG), 0.5 + KINK_ARG),
+    ], ids=["interior", "corner", "edge", "kink"])
+    def test_max_box2(self, fvec, arg, value):
+        (x, y), val = bounds._max_box2(fvec)
+        # a quadratic peak on top of an O(1) value pins its argmax only to
+        # about the square root of machine epsilon
+        assert abs(x - arg[0]) < 1e-7 and abs(y - arg[1]) < 1e-7
+        assert abs(val - value) < 1e-12
+        assert val == fvec(np.array([[x, y]]))[0]
+
+    def test_nan_counts_as_minus_infinity(self):
+        x, val = bounds._vec_max_01(
+            lambda x: np.where(x > 0.8, np.nan, x))
+        assert abs(x - 0.8) < 1e-9 and abs(val - 0.8) < 1e-9
+
+
+class TestPairRisk:
+    @pytest.mark.parametrize("model_id", ["gauss-location", "uniform-scale"])
+    def test_zero_mass_and_homogeneity(self, model_id):
+        lim = models.get_model(model_id).limit
+
+        def pe(c):
+            return lim.pe_pair(1.0, 0.7, c)
+
+        a = np.array([0.0, 0.2, 0.05, 0.6])
+        b = np.array([0.0, 0.3, 0.45, 0.0])
+        g = bounds._pair_risk(pe, a, b)
+        assert g[0] == 0.0
+        assert abs(g[1] - 0.5 * pe(0.4)) < 1e-15
+        for k in (0.25, 4.0):
+            assert np.array_equal(bounds._pair_risk(pe, k * a, k * b), k * g)
+        assert np.allclose(bounds._pair_risk(pe, 3.0 * a, 3.0 * b), 3.0 * g,
+                           rtol=1e-14, atol=0.0)
+        assert bounds._pair_risk(pe, 0.0, 0.0) == 0.0
+
+
 class TestBoundReport:
     def test_rejects_negative_value(self):
         with pytest.raises(ValueError):

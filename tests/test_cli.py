@@ -1,6 +1,7 @@
 """Command-line interface: compute, reproduce, formats, exit codes."""
 
 import json
+import math
 import os
 import re
 import shutil
@@ -99,6 +100,24 @@ class TestCompute:
         payload = json.loads(out)
         assert abs(payload["value"] - oracles.FROZEN["mc_gauss_pe"]) < 5e-3
         assert any("seed 7" in note for note in payload["notes"])
+
+    def test_monte_carlo_needs_a_sampler(self, capsys):
+        rc, _, err = run_cli(capsys, "compute", "--model", "awgn-smooth",
+                             "--bound", "mc-pe", "--theta0", "0",
+                             "--theta1", "1")
+        assert rc == 2
+        assert "model 'awgn-smooth' has no sampler for mc-pe" in err
+
+    def test_monte_carlo_uses_the_model_scale(self, capsys):
+        # sigma 2 halves the standardized spacing: Q(0.5) = 0.3085, not
+        # the unit-scale Q(1) = 0.1587
+        rc, out, _ = run_cli(capsys, "compute", "--model", "gauss-location",
+                             "--bound", "mc-pe", "--sigma", "2", "--theta0",
+                             "0", "--theta1", "1", "--n", "4", "--trials",
+                             "20000", "--seed", "7", "--format", "json")
+        assert rc == 0
+        value = json.loads(out)["value"]
+        assert abs(value - 0.5 * math.erfc(0.5 / math.sqrt(2.0))) < 0.015
 
     def test_param_passthrough(self, capsys):
         rc, out, _ = run_cli(capsys, "compute", "--model", "uniform-scale",

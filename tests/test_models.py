@@ -104,6 +104,14 @@ class TestRegistry:
             assert pe(0.3, 1.0, 1.5, 1) == pytest.approx(
                 pe(0.7, 1.5, 1.0, 1), abs=1e-14)
 
+    def test_model_params_are_the_float_factory_arguments(self):
+        # the parameters the CLI may set; exp-family's fisher callable is not
+        assert models.MODEL_PARAMS == {
+            "exp-rate": (), "uniform-scale": (), "uniform-location": (),
+            "gauss-location": ("sigma",), "awgn-smooth": ("pdot", "n0"),
+            "awgn-rect": ("power", "n0", "pulse_width"),
+            "exp-family": ("sigma", "h"), "nuisance-rotation": ("sigma",)}
+
     def test_descriptor_notes_nuisance(self):
         model = models.get_model("nuisance-rotation")
         assert model.oracle is None
@@ -114,7 +122,10 @@ class TestLocalLimits:
     def test_gauss(self):
         lim = models.get_model("gauss-location").limit
         assert abs(lim.pe_inf(0.0, 1.3) - gaussian_tail(1.3)) < 1e-14
-        assert lim.optimal_q(0.0, 1.3) == 0.5
+        # the optimal prior is 1/2: there the pair error at spacing 2s is pe_inf
+        assert lim.pe_pair(0.0, 2.6, 0.5) == lim.pe_inf(0.0, 1.3)
+        assert max(lim.pe_pair(0.0, 2.6, np.linspace(0.0, 1.0, 101))) \
+            == lim.pe_pair(0.0, 2.6, 0.5)
         assert abs(lim.pe_pair(0.0, 2.0, 0.5) - gaussian_tail(1.0)) < 1e-14
         assert lim.rate.variable == "n" and lim.rate.xi_exponent == 0.5
 
@@ -127,7 +138,10 @@ class TestLocalLimits:
         s, theta = 0.7, 1.0
         expect = 1.0 / (1.0 + math.exp(2.0 * s / theta))
         assert abs(lim.pe_inf(theta, s) - expect) < 1e-14
-        assert abs(lim.optimal_q(theta, s) - expect) < 1e-14
+        # at the optimal prior q* = expect the pair error at spacing 2s is q*
+        assert abs(lim.pe_pair(theta, 2.0 * s, expect) - expect) < 1e-14
+        assert max(lim.pe_pair(theta, 2.0 * s, np.linspace(0.0, 1.0, 101))) \
+            <= expect
         assert abs(lim.pe_inf_halfprior(theta, s)
                    - 0.5 * math.exp(-2.0 * s / theta)) < 1e-14
         assert abs(lim.pe_pair(theta, 1.4, 0.25)
