@@ -409,8 +409,8 @@ def moment_two_point_bound(model: Model, t: float, theta: float = 1.0,
 # ---------------------------------------------------------------------------
 # three-point MSE bounds
 
-def _three_point_engine(pe_left, pe_right, domain: Interval, inner_prior: str,
-                        w_zero: bool):
+def _three_point_engine(pe_left, pe_right, split, domain: Interval,
+                        inner_prior: str, w_zero: bool):
     """Shared search for the three-point relaxed bound.
 
     Test points theta0 - delta, theta0, theta0 + delta carry simplex weights
@@ -419,7 +419,11 @@ def _three_point_engine(pe_left, pe_right, domain: Interval, inner_prior: str,
     half-prior choice u = q/(q+r), v = w/(w+r).
 
     pe_left(delta, c) and pe_right(delta, c) give the pair error with prior c
-    on the lower point of the pair.
+    on the lower point of the pair.  split(delta, a, b), if given, is the
+    exact best free split of a pair with masses a (lower point) and b, as
+    LocalErrorLimit.pair_split; it serves both flanks, so pe_left and
+    pe_right must then be one function.  Without it the free splits are
+    searched row by row.
     """
 
     def left_term(delta, u, q, r):
@@ -435,24 +439,38 @@ def _three_point_engine(pe_left, pe_right, domain: Interval, inner_prior: str,
         v = np.where(rw > 0.0, w / np.where(rw > 0.0, rw, 1.0), 0.5)
         return u, v
 
+    def pinned_mass(x, y):
+        """x*y/(x+y): the mass on each point of a pair split the pinned way."""
+        total = x + y
+        return np.where(total > 0.0, x * y / np.where(total > 0.0, total, 1.0), 0.0)
+
     def inner(delta: float):
         """Maximize over the simplex (and u, v); returns argmax and value."""
+        if inner_prior == "half":
+            # both masses of a pair get the same value, so each pair's risk
+            # is twice that mass times the pair error at prior 1/2
+            pe_l = 2.0 * float(pe_left(delta, 0.5))
+            pe_r = 2.0 * float(pe_right(delta, 0.5))
 
-        def batch(rows: np.ndarray) -> np.ndarray:
-            q, r, w = rows[:, 0], rows[:, 1], rows[:, 2]
-            if inner_prior == "half":
-                u, v = pinned_uv(q, r, w)
-                lvals = left_term(delta, u, q, r)
-                rvals = right_term(delta, v, r, w)
-            else:
+            def batch(rows: np.ndarray) -> np.ndarray:
+                q, r, w = rows[:, 0], rows[:, 1], rows[:, 2]
+                return delta ** 2 * (pe_l * pinned_mass(q, r)
+                                     + pe_r * pinned_mass(r, w))
+        elif split is not None:
+            def batch(rows: np.ndarray) -> np.ndarray:
+                q, r, w = rows[:, 0], rows[:, 1], rows[:, 2]
+                return delta ** 2 * (split(delta, q, r)[1] + split(delta, r, w)[1])
+        else:
+            def batch(rows: np.ndarray) -> np.ndarray:
                 # coarse per-row search: it only ranks simplex rows, and
                 # the winning row's pair priors are re-solved tightly below
+                q, r, w = rows[:, 0], rows[:, 1], rows[:, 2]
                 k = len(rows)
                 _, lvals = _rowwise_max_01(lambda u: left_term(delta, u, q, r),
                                            k, grid=9, iters=14)
                 _, rvals = _rowwise_max_01(lambda v: right_term(delta, v, r, w),
                                            k, grid=9, iters=14)
-            return delta ** 2 * (lvals + rvals)
+                return delta ** 2 * (lvals + rvals)
 
         if w_zero:
             opt = maximize_simplex(
@@ -466,6 +484,10 @@ def _three_point_engine(pe_left, pe_right, domain: Interval, inner_prior: str,
 
         if inner_prior == "half":
             u, v = (float(x) for x in pinned_uv(q, r, w))
+        elif split is not None:
+            # the right pair is G(v*r, (1-v)*w): v is one minus the split of (r, w)
+            u = float(split(delta, q, r)[0])
+            v = 1.0 - float(split(delta, r, w)[0])
         else:
             ua, _ = _rowwise_max_01(lambda uu: left_term(delta, uu, q, r),
                                     1, grid=33, iters=60)
@@ -503,6 +525,7 @@ def three_point_bound(model: Model, theta: float = 1.0, s_domain=None, *,
         raise ValueError("inner_prior must be 'free' or 'half'")
     domain = _as_domain(s_domain)
     local = n is None
+    split = None
     if local:
         pe_pair = _require_pe_pair(model)
 
@@ -510,6 +533,9 @@ def three_point_bound(model: Model, theta: float = 1.0, s_domain=None, *,
             return pe_pair(theta, delta, c)
 
         pe_right = pe_left
+        if model.limit.pair_split is not None:
+            def split(delta, a, b):
+                return model.limit.pair_split(theta, delta, a, b)
     else:
         oracle = _require_oracle(model)
         if theta0 is None:
@@ -521,7 +547,7 @@ def three_point_bound(model: Model, theta: float = 1.0, s_domain=None, *,
         def pe_right(delta, c):
             return oracle.pe(c, theta0, theta0 + delta, n)
 
-    argmax, objective = _three_point_engine(pe_left, pe_right, domain,
+    argmax, objective = _three_point_engine(pe_left, pe_right, split, domain,
                                             inner_prior, w_zero)
     loss = LossSpec.mse()
     rate = model.limit.rate.with_power_loss(2.0) if local else None

@@ -17,7 +17,8 @@ The local limit carries three views of the same object:
 
 pe_pair is the primitive: the multi-point engines weight pairs of test points
 with priors that are themselves being optimized, so they need the fixed-prior
-limit, not only the q-maximized one.
+limit, not only the q-maximized one.  pair_split(theta, delta, a, b) solves
+their inner problem exactly: the best split of two prior masses a and b.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
+from scipy.special import expit, log_ndtr
 
 from .loss import RatePower
 from .numerics import Interval, gaussian_tail
@@ -39,6 +41,7 @@ __all__ = [
     "Model",
     "PeEstimate",
     "binary_gaussian_error",
+    "binary_gaussian_split",
     "exponential_rate_pe",
     "uniform_scale_pe",
     "uniform_location_pe",
@@ -76,12 +79,19 @@ class LocalErrorLimit:
     rate describes the contraction: xi = variable^(-xi_exponent).  The stored
     zeta_exponent pairs with squared error; bound engines rescale it for the
     loss they actually use.
+
+    pair_split(theta, delta, a, b) -> (u, value), vectorized over the masses
+    a, b >= 0, is the exact maximum over u in [0, 1] of the pair's
+    unnormalized Bayes error G((1-u)*a, u*b), G(x, y) = (x+y) *
+    pe_pair(theta, delta, x/(x+y)), and the u that attains it; value is 0
+    where a or b is 0.
     """
 
     pe_inf: Callable
     rate: RatePower
     pe_inf_halfprior: Optional[Callable] = None
     pe_pair: Optional[Callable] = None
+    pair_split: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -133,6 +143,75 @@ def binary_gaussian_error(q, d):
     return float(out) if out.ndim == 0 else out
 
 
+def _min_form_split(A: float, B: float, a, b):
+    """Exact pair split for a min-form pair error, G(x, y) = min{A*x, B*y}.
+
+    min{A(1-u)a, B*u*b} peaks where its two arms meet: u = Aa/(Aa + Bb),
+    value Aa*Bb/(Aa + Bb).  Value 0 (and u = 1/2) where either arm is 0.
+    """
+    x = A * np.asarray(a, dtype=float)
+    y = B * np.asarray(b, dtype=float)
+    pos = (x > 0.0) & (y > 0.0)
+    total = np.where(pos, x + y, 1.0)
+    return np.where(pos, x / total, 0.5), np.where(pos, x * (y / total), 0.0)
+
+
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_SPLIT_XTOL = 1e-14
+_SPLIT_MAX_ITERS = 100
+
+
+def binary_gaussian_split(a, b, d):
+    """Exact pair split for two unit-variance Gaussian hypotheses d apart.
+
+    Returns (u, value): value = max over u in [0, 1] of G((1-u)*a, u*b), with
+    G(x, y) = (x+y) * binary_gaussian_error(x/(x+y), d), and the u attaining
+    it, elementwise over the masses a, b >= 0.  G is concave in u and peaks
+    where the two weighted error types are equal: at the MAP threshold x*
+    (measured from the first mean) with a*Q(x*) = b*Q(d - x*).  The root of
+    f(x) = ln(a/b) + ln Q(x) - ln Q(d - x) is found in log space by Newton
+    steps kept inside a bisection bracket.  Then value = a*Q(x*) and
+    u = expit(d*(d/2 - x*) + ln(a/b)).  d = 0 is the min-form case
+    G(x, y) = min{x, y}.  Value 0 (and u = 1/2) where a or b is 0.
+    """
+    d = float(d)
+    if d < 0:
+        raise ValueError("distance must be nonnegative")
+    if d == 0.0:
+        return _min_form_split(1.0, 1.0, a, b)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    pos = (a > 0.0) & (b > 0.0)
+    log_ratio = np.log(np.where(pos, a, 1.0)) - np.log(np.where(pos, b, 1.0))
+    mid = 0.5 * d
+
+    def hazard(t, log_tail):
+        return np.exp(-0.5 * t * t - _LOG_SQRT_2PI - log_tail)
+
+    # f' = -(h(x) + h(d - x)) with h the normal hazard, which is positive and
+    # increasing, so |f'| >= h(d/2) and the root lies within
+    # |ln(a/b)| / h(d/2) of d/2, on the side of ln(a/b)'s sign.
+    h_mid = float(hazard(mid, log_ndtr(-mid)))
+    lo = mid + np.minimum(log_ratio, 0.0) / h_mid
+    hi = mid + np.maximum(log_ratio, 0.0) / h_mid
+    x = mid + log_ratio / (2.0 * h_mid)  # the Newton step from d/2
+    for _ in range(_SPLIT_MAX_ITERS):
+        log_q0 = log_ndtr(-x)
+        log_q1 = log_ndtr(x - d)
+        f = log_ratio + log_q0 - log_q1
+        lo = np.where(f > 0.0, x, lo)
+        hi = np.where(f < 0.0, x, hi)
+        step = x + f / (hazard(x, log_q0) + hazard(d - x, log_q1))
+        x_new = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        done = np.abs(x_new - x) <= _SPLIT_XTOL * np.maximum(1.0, np.abs(x))
+        x = x_new
+        if done.all():
+            break
+    u = np.where(pos, expit(d * (mid - x) + log_ratio), 0.5)
+    value = np.where(pos, a * gaussian_tail(x), 0.0)
+    return u, value
+
+
 def exponential_rate_pe(q, theta0: float, theta1: float):
     """MAP error for a single observation of an exponential density with rate
     theta0 versus theta1, 0 < theta0 < theta1.
@@ -149,9 +228,12 @@ def exponential_rate_pe(q, theta0: float, theta1: float):
         raise ValueError("prior must lie in [0, 1]")
     interior = (q > 0.0) & (q < 1.0)
     qs = np.where(interior, q, 0.5)
-    ratio = (1.0 - qs) * theta1 / (qs * theta0)
-    x0 = np.log(ratio) / (theta1 - theta0)
-    pe_thresh = qs * (1.0 - np.exp(-theta0 * x0)) + (1.0 - qs) * np.exp(-theta1 * x0)
+    # the threshold is formed from logs, so a prior near 0 cannot overflow
+    # the ratio, and the threshold branch is evaluated at x0 >= 0 only (where
+    # it is used), so a prior near 1 cannot overflow the exponentials
+    x0 = (np.log1p(-qs) - np.log(qs) + math.log(theta1 / theta0)) / (theta1 - theta0)
+    xt = np.maximum(x0, 0.0)
+    pe_thresh = qs * (1.0 - np.exp(-theta0 * xt)) + (1.0 - qs) * np.exp(-theta1 * xt)
     pe = np.where(x0 > 0.0, pe_thresh, 1.0 - qs)
     out = np.where(interior, pe, 0.0)
     return float(out) if out.ndim == 0 else out
@@ -213,6 +295,19 @@ def gaussian_location_pe(q, theta0, theta1, n: int, sigma: float):
 # ---------------------------------------------------------------------------
 # local limits
 
+def _gaussian_pair(dist):
+    """pe_pair and pair_split of a limit whose test points delta apart act
+    as two unit-variance Gaussians dist(theta, delta) apart."""
+
+    def pe_pair(theta, delta, q):
+        return binary_gaussian_error(q, dist(theta, delta))
+
+    def pair_split(theta, delta, a, b):
+        return binary_gaussian_split(a, b, dist(theta, delta))
+
+    return pe_pair, pair_split
+
+
 def gaussian_location_limit(sigma: float) -> LocalErrorLimit:
     """Local limit of the Gaussian location model: contraction xi = n^(-1/2),
     pe_inf(theta, s) = Q(s/sigma), optimal prior identically 1/2."""
@@ -223,11 +318,9 @@ def gaussian_location_limit(sigma: float) -> LocalErrorLimit:
     def pe_inf(theta, s):
         return gaussian_tail(np.asarray(s, dtype=float) / sigma)
 
-    def pe_pair(theta, delta, q):
-        return binary_gaussian_error(q, float(delta) / sigma)
-
+    pe_pair, pair_split = _gaussian_pair(lambda theta, delta: float(delta) / sigma)
     return LocalErrorLimit(pe_inf=pe_inf, rate=rate, pe_inf_halfprior=pe_inf,
-                           pe_pair=pe_pair)
+                           pe_pair=pe_pair, pair_split=pair_split)
 
 
 def uniform_scale_limit() -> LocalErrorLimit:
@@ -254,8 +347,12 @@ def uniform_scale_limit() -> LocalErrorLimit:
         out = np.minimum(q, (1.0 - q) * math.exp(-float(delta) / theta))
         return float(out) if out.ndim == 0 else out
 
+    def pair_split(theta, delta, a, b):
+        _check(theta)
+        return _min_form_split(1.0, math.exp(-float(delta) / theta), a, b)
+
     return LocalErrorLimit(pe_inf=pe_inf, rate=rate, pe_inf_halfprior=pe_half,
-                           pe_pair=pe_pair)
+                           pe_pair=pe_pair, pair_split=pair_split)
 
 
 def uniform_location_limit() -> LocalErrorLimit:
@@ -271,8 +368,12 @@ def uniform_location_limit() -> LocalErrorLimit:
         out = math.exp(-float(delta)) * np.minimum(q, 1.0 - q)
         return float(out) if out.ndim == 0 else out
 
+    def pair_split(theta, delta, a, b):
+        overlap = math.exp(-float(delta))
+        return _min_form_split(overlap, overlap, a, b)
+
     return LocalErrorLimit(pe_inf=pe_inf, rate=rate, pe_inf_halfprior=pe_inf,
-                           pe_pair=pe_pair)
+                           pe_pair=pe_pair, pair_split=pair_split)
 
 
 def awgn_signal_limit(kind: str, *, pdot: float = None, n0: float = None,
@@ -299,11 +400,11 @@ def awgn_signal_limit(kind: str, *, pdot: float = None, n0: float = None,
         def pe_inf(theta, s):
             return gaussian_tail(coef * np.asarray(s, dtype=float))
 
-        def pe_pair(theta, delta, q):
-            return binary_gaussian_error(q, coef * float(delta))
-
+        pe_pair, pair_split = _gaussian_pair(
+            lambda theta, delta: coef * float(delta))
         return LocalErrorLimit(pe_inf=pe_inf, rate=rate,
-                               pe_inf_halfprior=pe_inf, pe_pair=pe_pair)
+                               pe_inf_halfprior=pe_inf, pe_pair=pe_pair,
+                               pair_split=pair_split)
 
     if kind == "rect":
         if power is None or n0 is None or pulse_width is None or \
@@ -315,11 +416,11 @@ def awgn_signal_limit(kind: str, *, pdot: float = None, n0: float = None,
         def pe_inf(theta, s):
             return gaussian_tail(np.sqrt(2.0 * scale * np.asarray(s, dtype=float)))
 
-        def pe_pair(theta, delta, q):
-            return binary_gaussian_error(q, 2.0 * math.sqrt(scale * float(delta)))
-
+        pe_pair, pair_split = _gaussian_pair(
+            lambda theta, delta: 2.0 * math.sqrt(scale * float(delta)))
         return LocalErrorLimit(pe_inf=pe_inf, rate=rate,
-                               pe_inf_halfprior=pe_inf, pe_pair=pe_pair)
+                               pe_inf_halfprior=pe_inf, pe_pair=pe_pair,
+                               pair_split=pair_split)
 
     raise ValueError(f"unknown waveform kind: {kind!r}")
 
@@ -338,11 +439,10 @@ def exp_family_limit(fisher: Callable[[float], float]) -> LocalErrorLimit:
     def pe_inf(theta, s):
         return gaussian_tail(np.asarray(s, dtype=float) * math.sqrt(_info(theta)))
 
-    def pe_pair(theta, delta, q):
-        return binary_gaussian_error(q, float(delta) * math.sqrt(_info(theta)))
-
+    pe_pair, pair_split = _gaussian_pair(
+        lambda theta, delta: float(delta) * math.sqrt(_info(theta)))
     return LocalErrorLimit(pe_inf=pe_inf, rate=rate, pe_inf_halfprior=pe_inf,
-                           pe_pair=pe_pair)
+                           pe_pair=pe_pair, pair_split=pair_split)
 
 
 def fisher_from_log_partition(log_z: Callable[[float], float], theta: float,
@@ -416,6 +516,9 @@ class ExponentialRateSampler:
         return x.shape[1] * math.log(theta) - theta * np.sum(x, axis=1)
 
 
+_MC_CHUNK_DRAWS = 2 ** 17
+
+
 def monte_carlo_pe(sampler, q: float, theta0, theta1, n: int, trials: int,
                    seed: int) -> PeEstimate:
     """Estimate pe(q, theta0, theta1, n) by simulating the MAP rule.
@@ -430,22 +533,21 @@ def monte_carlo_pe(sampler, q: float, theta0, theta1, n: int, trials: int,
     if not 0.0 <= q <= 1.0:
         raise ValueError("prior must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    is_h1 = rng.random(trials) >= q
-
-    n_h0 = int((~is_h1).sum())
-    n_h1 = trials - n_h0
-    x = np.empty((trials, n), dtype=float)
-    if n_h0:
-        x[~is_h1] = sampler.sample(rng, theta0, n, n_h0)
-    if n_h1:
-        x[is_h1] = sampler.sample(rng, theta1, n, n_h1)
+    n_h1 = int(np.count_nonzero(rng.random(trials) >= q))
+    n_h0 = trials - n_h1
 
     log_q0 = math.log(q) if q > 0 else -math.inf
     log_q1 = math.log(1.0 - q) if q < 1 else -math.inf
-    score0 = log_q0 + sampler.log_likelihood(x, theta0)
-    score1 = log_q1 + sampler.log_likelihood(x, theta1)
-    decide_h0 = score0 >= score1
-    errors = int(np.count_nonzero(decide_h0 == is_h1))
+    # all H0 draws, then all H1 draws, as one stream cut into chunks of at
+    # most _MC_CHUNK_DRAWS values: the same draws as one call per hypothesis
+    rows = max(1, _MC_CHUNK_DRAWS // max(n, 1))
+    errors = 0
+    for theta, count, truth_h1 in ((theta0, n_h0, False), (theta1, n_h1, True)):
+        for start in range(0, count, rows):
+            x = sampler.sample(rng, theta, n, min(rows, count - start))
+            decide_h0 = (log_q0 + sampler.log_likelihood(x, theta0)
+                         >= log_q1 + sampler.log_likelihood(x, theta1))
+            errors += int(np.count_nonzero(decide_h0 == truth_h1))
 
     p_hat = errors / trials
     half_width = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)

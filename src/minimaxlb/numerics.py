@@ -218,6 +218,12 @@ def _lift_simplex2(c: np.ndarray):
     return c, np.clip(rows, 0.0, 1.0, out=rows)
 
 
+# barycentric scan of the dim-3 simplex at step 1/64 (2145 points), built once
+_SIMPLEX3_GRID = np.array([(i, j) for i in range(65) for j in range(65 - i)],
+                          dtype=float) / 64
+_SIMPLEX3_GRID.flags.writeable = False
+
+
 def _lift_simplex3(c: np.ndarray):
     c = c[c.sum(axis=1) <= 1.0 + 1e-15]
     rows = np.column_stack([c[:, 0], c[:, 1], 1.0 - c[:, 0] - c[:, 1]])
@@ -243,10 +249,7 @@ def maximize_simplex(f, dim: int, *, vectorized: bool = False) -> OptResult:
     if dim == 2:
         return maximize_zoom(fvec, np.linspace(0.0, 1.0, 1025)[:, None],
                              1.0 / 16, 1e-11, _lift_simplex2)
-    k = 64
-    grid = np.array([(i, j) for i in range(k + 1) for j in range(k + 1 - i)],
-                    dtype=float) / k
-    return maximize_zoom(fvec, grid, 1.0 / k, 1e-11, _lift_simplex3)
+    return maximize_zoom(fvec, _SIMPLEX3_GRID, 1.0 / 64, 1e-11, _lift_simplex3)
 
 
 def _adaptive_simpson(f, a, fa, m, fm, b, fb, whole, tol, depth):

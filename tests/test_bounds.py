@@ -9,7 +9,7 @@ import oracles
 import minimaxlb as mx
 from minimaxlb import bounds, models
 from minimaxlb.loss import LossSpec
-from minimaxlb.numerics import Interval, gaussian_tail
+from minimaxlb.numerics import Interval, OptResult, gaussian_tail
 
 
 class TestTwoPoint:
@@ -176,7 +176,7 @@ class TestThreePoint:
     def test_uniform_free_pair_priors(self, three_point_uniform_free):
         rep = three_point_uniform_free
         assert abs(rep.value
-                   - oracles.FROZEN["uniform_three_point_free"]) < 1e-6
+                   - oracles.FROZEN["uniform_three_point_free"]) < 1e-9
         assert rep.rate.render() == "n^2"
 
     def test_free_dominates_pinned_on_uniform(self, three_point_uniform_free,
@@ -189,6 +189,26 @@ class TestThreePoint:
         assert rep.argmax["w"] == 0.0
         assert rep.value <= three_point_gauss_half.value + 1e-12
         assert any("pinned to 0" in note for note in rep.notes)
+
+    def test_finite_sample_free_pair_priors(self, gauss, monkeypatch):
+        # the row-by-row split search of the finite-sample path; a 6-point
+        # outer scan stands in for the 513-cell one, which takes about a
+        # minute here, and serves both prior modes alike
+        def outer_scan(f, domain):
+            xs = np.linspace(domain.lo, domain.hi, 6)
+            vals = [f(x) for x in xs]
+            i = int(np.argmax(vals))
+            return OptResult(argmax=(float(xs[i]),), value=vals[i],
+                             evaluations=len(xs))
+
+        monkeypatch.setattr(bounds, "maximize_1d", outer_scan)
+        kw = dict(s_domain=(0.1, 0.6), n=50, theta0=0.0)
+        free = mx.three_point_bound(gauss, **kw)
+        half = mx.three_point_bound(gauss, inner_prior="half", **kw)
+        assert free.value >= half.value - 1e-12
+        assert free.reevaluate() == free.value
+        assert 0.0 <= free.argmax["u"] <= 1.0 and 0.0 <= free.argmax["v"] <= 1.0
+        assert free.rate is None
 
     def test_rejects_unknown_prior_mode(self, gauss):
         with pytest.raises(ValueError):
@@ -463,6 +483,60 @@ class TestPairRisk:
         assert np.allclose(bounds._pair_risk(pe, 3.0 * a, 3.0 * b), 3.0 * g,
                            rtol=1e-14, atol=0.0)
         assert bounds._pair_risk(pe, 0.0, 0.0) == 0.0
+
+
+_LIMIT_IDS = ["gauss-location", "awgn-smooth", "awgn-rect", "exp-family",
+              "uniform-scale", "uniform-location"]
+
+# prior masses (a, b): zero masses, mass ratios of 1e-12 both ways
+_SPLIT_MASSES = np.array([[0.3, 0.7], [0.5, 0.5], [1.0, 1e-12], [1e-12, 1.0],
+                          [0.0, 0.4], [0.4, 0.0], [0.0, 0.0], [2e-3, 0.9]])
+
+
+class TestPairSplit:
+    @pytest.mark.parametrize("model_id", _LIMIT_IDS)
+    @pytest.mark.parametrize("delta", [1e-9, 0.4, 2.5, 12.0])
+    def test_attains_the_split_maximum(self, model_id, delta):
+        lim = models.get_model(model_id).limit
+
+        def pe(c):
+            return lim.pe_pair(1.0, delta, c)
+
+        a, b = _SPLIT_MASSES[:, 0], _SPLIT_MASSES[:, 1]
+        u, value = lim.pair_split(1.0, delta, a, b)
+        grid = np.linspace(0.0, 1.0, 2001)[:, None]
+        on_grid = bounds._pair_risk(pe, (1.0 - grid) * a, grid * b)
+        assert np.all(value >= on_grid.max(axis=0) - 1e-12)
+        assert np.all(np.abs(value - bounds._pair_risk(pe, (1.0 - u) * a, u * b))
+                      <= 1e-12)
+        assert np.all(value[a * b == 0.0] == 0.0)
+        assert np.all((u >= 0.0) & (u <= 1.0))
+
+    def test_min_form_closed_form(self):
+        a = np.array([0.3, 0.5])
+        b = np.array([0.7, 0.1])
+        for lim, A, B in [
+                (models.uniform_scale_limit(), 1.0, math.exp(-0.8 / 2.0)),
+                (models.uniform_location_limit(), math.exp(-0.8), math.exp(-0.8))]:
+            u, value = lim.pair_split(2.0, 0.8, a, b)
+            assert np.allclose(u, A * a / (A * a + B * b), rtol=1e-15, atol=0.0)
+            assert np.allclose(value, A * a * B * b / (A * a + B * b),
+                               rtol=1e-15, atol=0.0)
+        u, value = models.binary_gaussian_split(a, b, 0.0)
+        assert np.allclose(u, a / (a + b), rtol=1e-15, atol=0.0)
+        assert np.allclose(value, a * b / (a + b), rtol=1e-15, atol=0.0)
+
+    def test_gaussian_equalizes_the_error_types(self):
+        # at the optimum both weighted error types are equal: a*Q(x) = b*Q(d-x)
+        a = np.array([0.2, 0.6, 1e-200])
+        b = np.array([0.9, 0.05, 1.0])
+        d = 1.7
+        u, value = models.binary_gaussian_split(a, b, d)
+        threshold = d / 2.0 - np.log(u * b / ((1.0 - u) * a)) / d
+        assert np.allclose(a * gaussian_tail(threshold), value, rtol=1e-12,
+                           atol=0.0)
+        assert np.allclose(b * gaussian_tail(d - threshold), value, rtol=1e-12,
+                           atol=0.0)
 
 
 class TestBoundReport:

@@ -1,6 +1,7 @@
 """Error oracles, local limits, samplers, and the model registry."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,22 @@ class TestExponentialRatePe:
 
     def test_half_prior_exact(self):
         assert models.exponential_rate_pe(0.5, 1.0, 2.0) == 0.375
+
+    def test_no_overflow_near_the_prior_ends(self):
+        from minimaxlb import bounds
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            # a prior this small errs with probability equal to itself
+            assert models.exponential_rate_pe(np.array([1e-320]), 1.0, 2.0)[0] \
+                == 1e-320
+            pe = models.exponential_rate_pe(
+                np.array([1e-300, 0.5, 1.0 - 2.0 ** -53]), 1.0, 1.001)
+            rep = bounds.moment_two_point_bound(
+                models.get_model("exp-rate"), 2.0, s_domain=(0, 2), n=1,
+                theta0=1.0, r_fixed=0.5)
+        assert np.all(np.isfinite(pe)) and pe[2] == 2.0 ** -53
+        assert rep.value > 0.0 and rep.reevaluate() == rep.value
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -271,6 +288,27 @@ class TestMonteCarlo:
         a = models.monte_carlo_pe(*args, 20_000, 99)
         b = models.monte_carlo_pe(*args, 20_000, 99)
         assert a.estimate == b.estimate
+
+    @pytest.mark.parametrize("sampler, theta0, theta1", [
+        (models.GaussianLocationSampler(1.3), 0.0, 0.4),
+        (models.UniformScaleSampler(), 1.0, 1.05),
+        (models.UniformLocationSampler(), 0.0, 0.01),
+        (models.ExponentialRateSampler(), 1.0, 2.0)])
+    def test_chunks_match_one_shot_sampling(self, sampler, theta0, theta1):
+        # 30 000 trials x 16 draws spans several chunks of 2^17 draws; the
+        # one-shot reference draws every H0 row, then every H1 row, at once
+        q, n, trials, seed = 0.45, 16, 30_000, 5
+        rng = np.random.default_rng(seed)
+        is_h1 = rng.random(trials) >= q
+        x = np.empty((trials, n))
+        x[~is_h1] = sampler.sample(rng, theta0, n, int((~is_h1).sum()))
+        x[is_h1] = sampler.sample(rng, theta1, n, int(is_h1.sum()))
+        decide_h0 = (math.log(q) + sampler.log_likelihood(x, theta0)
+                     >= math.log(1.0 - q) + sampler.log_likelihood(x, theta1))
+        errors = int(np.count_nonzero(decide_h0 == is_h1))
+        est = models.monte_carlo_pe(sampler, q, theta0, theta1, n, trials, seed)
+        assert n * trials > 3 * models._MC_CHUNK_DRAWS
+        assert est.estimate == errors / trials
 
     def test_requires_enough_trials(self):
         with pytest.raises(ValueError):
