@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 _DEFAULT_S_DOMAIN = Interval(0.0, 20.0)
+# outer grid of the nested bounds: each cell costs one full inner solve, and
+# golden-section refinement recovers what a coarser scan misses
+_NESTED_CELLS = 64
 
 
 @dataclass(frozen=True)
@@ -256,6 +259,16 @@ def _rowwise_max_01(f, k: int, grid: int = 17, iters: int = 48):
     return x, y
 
 
+def _nested_max(inner, domain: Interval):
+    """Outer search of a nested bound.  inner(x) -> (argmax, value) solves
+    the inner problem at outer coordinate x; maximize its value over the
+    domain on the coarse nested grid, then solve once more at the winner.
+    Returns (x*, inner argmax at x*)."""
+    opt = maximize_1d(lambda x: inner(x)[1], domain, cells=_NESTED_CELLS)
+    x_star = opt.argmax[0]
+    return x_star, inner(x_star)[0]
+
+
 # ---------------------------------------------------------------------------
 # two-point bounds at finite sample size
 
@@ -362,8 +375,10 @@ def moment_two_point_bound(model: Model, t: float, theta: float = 1.0,
     loss = LossSpec.power(t)
     domain = _as_domain(s_domain)
     local = n is None
+    split = None
     if local:
         pe_pair = _require_pe_pair(model)
+        split = model.limit.pair_split
 
         def pe_at(delta, c):
             return pe_pair(theta, delta, c)
@@ -382,17 +397,23 @@ def moment_two_point_bound(model: Model, t: float, theta: float = 1.0,
                                        (1.0 - r) ** (t - 1.0) * q,
                                        r ** (t - 1.0) * (1.0 - q))
 
+    def split_at(delta: float, r):
+        # for a fixed r the best q is the pair split of the masses
+        # a = (1-r)^(t-1), b = r^(t-1), with q = 1 - u
+        return split(theta, delta, (1.0 - r) ** (t - 1.0), r ** (t - 1.0))
+
     def inner(delta: float):
         if r_fixed is not None:
             qs, val = _vec_max_01(
                 lambda q: rows_value(delta, np.column_stack(
                     [q, np.full_like(q, r_fixed)])))
             return (qs, float(r_fixed)), val
-        return _max_box2(lambda qr: rows_value(delta, qr))
+        if split is None:
+            return _max_box2(lambda qr: rows_value(delta, qr))
+        r, val = _vec_max_01(lambda r: delta ** t * split_at(delta, r)[1])
+        return (1.0 - float(split_at(delta, r)[0]), r), val
 
-    opt = maximize_1d(lambda d: inner(d)[1], domain)
-    d_star = opt.argmax[0]
-    (q_star, r_star), _ = inner(d_star)
+    d_star, (q_star, r_star) = _nested_max(inner, domain)
 
     def objective(delta: float, q: float, r: float) -> float:
         return float(rows_value(delta, np.array([[q, r]]))[0])
@@ -409,6 +430,11 @@ def moment_two_point_bound(model: Model, t: float, theta: float = 1.0,
 # ---------------------------------------------------------------------------
 # three-point MSE bounds
 
+# maximizers of the pinned-split simplex factor qr/(q+r) + rw/(r+w)
+_HALF_ROW = (1.0 - math.sqrt(0.5), math.sqrt(2.0) - 1.0, 1.0 - math.sqrt(0.5))
+_HALF_ROW_W_ZERO = (0.5, 0.5, 0.0)
+
+
 def _three_point_engine(pe_left, pe_right, split, domain: Interval,
                         inner_prior: str, w_zero: bool):
     """Shared search for the three-point relaxed bound.
@@ -419,12 +445,21 @@ def _three_point_engine(pe_left, pe_right, split, domain: Interval,
     half-prior choice u = q/(q+r), v = w/(w+r).
 
     pe_left(delta, c) and pe_right(delta, c) give the pair error with prior c
-    on the lower point of the pair.  split(delta, a, b), if given, is the
+    on the lower point of the pair; pe_right None means both flanks share
+    pe_left, as in the local limit.  split(delta, a, b), if given, is the
     exact best free split of a pair with masses a (lower point) and b, as
-    LocalErrorLimit.pair_split; it serves both flanks, so pe_left and
-    pe_right must then be one function.  Without it the free splits are
-    searched row by row.
+    LocalErrorLimit.pair_split; it serves both flanks, so pe_right must then
+    be None.  Without it the free splits are searched row by row.
+
+    With shared flanks the pinned-split objective is delta^2 * 2 pe(delta, 1/2)
+    times qr/(q+r) + rw/(r+w), a concave factor symmetric in q <-> w and free
+    of delta: its maximizer q = w = 1 - 1/sqrt(2), r = sqrt(2) - 1 (value
+    6 - 4 sqrt(2)), or q = r = 1/2 with w pinned to 0 (value 1/4), replaces
+    the per-delta simplex search.
     """
+    shared = pe_right is None
+    if shared:
+        pe_right = pe_left
 
     def left_term(delta, u, q, r):
         return _pair_risk(lambda c: pe_left(delta, c), (1.0 - u) * q, u * r)
@@ -444,8 +479,8 @@ def _three_point_engine(pe_left, pe_right, split, domain: Interval,
         total = x + y
         return np.where(total > 0.0, x * y / np.where(total > 0.0, total, 1.0), 0.0)
 
-    def inner(delta: float):
-        """Maximize over the simplex (and u, v); returns argmax and value."""
+    def row_search(delta: float):
+        """The simplex weights (q, r, w) with the best inner value at delta."""
         if inner_prior == "half":
             # both masses of a pair get the same value, so each pair's risk
             # is twice that mass times the pair error at prior 1/2
@@ -477,11 +512,15 @@ def _three_point_engine(pe_left, pe_right, split, domain: Interval,
                 lambda rows2: batch(np.column_stack(
                     [rows2[:, 0], rows2[:, 1], np.zeros(len(rows2))])),
                 dim=2, vectorized=True)
-            q, r, w = opt.argmax[0], opt.argmax[1], 0.0
-        else:
-            opt = maximize_simplex(batch, dim=3, vectorized=True)
-            q, r, w = opt.argmax
+            return opt.argmax[0], opt.argmax[1], 0.0
+        return maximize_simplex(batch, dim=3, vectorized=True).argmax
 
+    def inner(delta: float):
+        """Maximize over the simplex (and u, v); returns argmax and value."""
+        if inner_prior == "half" and shared:
+            q, r, w = _HALF_ROW_W_ZERO if w_zero else _HALF_ROW
+        else:
+            q, r, w = row_search(delta)
         if inner_prior == "half":
             u, v = (float(x) for x in pinned_uv(q, r, w))
         elif split is not None:
@@ -500,9 +539,7 @@ def _three_point_engine(pe_left, pe_right, split, domain: Interval,
         return float(delta ** 2 * (left_term(delta, u, q, r)
                                    + right_term(delta, v, r, w)))
 
-    outer = maximize_1d(lambda d: inner(d)[1], domain)
-    d_star = outer.argmax[0]
-    (q, r, w, u, v), _ = inner(d_star)
+    d_star, (q, r, w, u, v) = _nested_max(inner, domain)
     argmax = {"delta": d_star, "q": q, "r": r, "w": w, "u": u, "v": v}
     return argmax, objective
 
@@ -532,7 +569,7 @@ def three_point_bound(model: Model, theta: float = 1.0, s_domain=None, *,
         def pe_left(delta, c):
             return pe_pair(theta, delta, c)
 
-        pe_right = pe_left
+        pe_right = None
         if model.limit.pair_split is not None:
             def split(delta, a, b):
                 return model.limit.pair_split(theta, delta, a, b)
@@ -595,9 +632,7 @@ def three_point_exact_uniform(theta0: float = 1.0, s_domain=None) -> BoundReport
                                vectorized=True)
         return opt.argmax, opt.value
 
-    outer = maximize_1d(lambda s: inner(s)[1], domain)
-    s_star = outer.argmax[0]
-    (q, r, w), _ = inner(s_star)
+    s_star, (q, r, w) = _nested_max(inner, domain)
 
     def objective(s, q, r, w):
         return theta0 ** 2 * float(rows_value(s, np.array([[q, r, w]]))[0])

@@ -107,16 +107,18 @@ def maximize_1d(f: Callable[[float], float], domain, *,
                 cells: int = 512) -> OptResult:
     """Maximize a scalar function on a finite interval.
 
-    Coarse scan on a uniform grid of at least 512 cells, then golden-section
-    refinement inside the two cells flanking the best grid point, until the
-    bracket is no wider than max(1e-12, 1e-10 * max(1, |lo|, |hi|)).  The
-    returned value never falls below the best grid evaluation.  NaN
-    evaluations are treated as -inf.
+    Coarse scan on a uniform grid of ``cells`` cells (cells + 1 points), then
+    golden-section refinement inside the two cells flanking the best grid
+    point, until the bracket is no wider than
+    max(1e-12, 1e-10 * max(1, |lo|, |hi|)).  The returned value never falls
+    below the best grid evaluation.  NaN evaluations are treated as -inf.
     """
     domain = _as_interval(domain)
     if not domain.finite:
         raise ValueError("maximize_1d requires a finite interval")
-    cells = max(int(cells), 512)
+    cells = int(cells)
+    if cells < 1:
+        raise ValueError("maximize_1d needs at least one grid cell")
 
     lo, hi = domain.lo, domain.hi
     xs = np.linspace(lo, hi, cells + 1)

@@ -8,6 +8,7 @@ The reproduction pipeline refuses to run if any default check fails.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -65,6 +66,19 @@ def _zoom_min_1d(f, lo: float, hi: float, grid: int):
     return best_x, best_v, evals
 
 
+@functools.lru_cache(maxsize=4)
+def _simplex_rows(d: int) -> np.ndarray:
+    """Read-only (q, r, w) rows of the step-1/d barycentric simplex grid,
+    built on first use and shared by every later call."""
+    ii, jj = np.meshgrid(np.arange(d + 1), np.arange(d + 1))
+    keep = ii + jj <= d
+    q = ii[keep] / d
+    r = jj[keep] / d
+    rows = np.column_stack([q, r, 1.0 - q - r])
+    rows.flags.writeable = False
+    return rows
+
+
 def check_simplex_infimum(a: Sequence[float], grid_density: int = 400
                           ) -> CheckReport:
     """The infimum over the open probability simplex of max_i a_i / r_i is
@@ -93,11 +107,6 @@ def check_simplex_infimum(a: Sequence[float], grid_density: int = 400
                                       max(grid_density, 8) + 1)
     else:
         d = max(grid_density, 8)
-        ii, jj = np.meshgrid(np.arange(d + 1), np.arange(d + 1))
-        keep = ii + jj <= d
-        q = ii[keep] / d
-        r = jj[keep] / d
-        w = 1.0 - q - r
 
         def f(rows):
             # 1 - q - r can round to a tiny negative, flipping the ratio's
@@ -107,7 +116,7 @@ def check_simplex_infimum(a: Sequence[float], grid_density: int = 400
                                         a[2] / rows[:, 2]]), axis=0)
             return np.where((rows <= 0.0).any(axis=1), np.inf, vals)
 
-        rows = np.column_stack([q, r, w])
+        rows = _simplex_rows(d)
         vals = f(rows)
         i = int(np.argmin(vals))
         best_pt = rows[i, :2].copy()

@@ -9,7 +9,8 @@ import oracles
 import minimaxlb as mx
 from minimaxlb import bounds, models
 from minimaxlb.loss import LossSpec
-from minimaxlb.numerics import Interval, OptResult, gaussian_tail
+from minimaxlb.numerics import (Interval, OptResult, gaussian_tail,
+                                maximize_simplex)
 
 
 class TestTwoPoint:
@@ -192,9 +193,9 @@ class TestThreePoint:
 
     def test_finite_sample_free_pair_priors(self, gauss, monkeypatch):
         # the row-by-row split search of the finite-sample path; a 6-point
-        # outer scan stands in for the 513-cell one, which takes about a
-        # minute here, and serves both prior modes alike
-        def outer_scan(f, domain):
+        # outer scan stands in for the 65-point one, which takes about 15 s,
+        # and serves both prior modes alike
+        def outer_scan(f, domain, *, cells=512):
             xs = np.linspace(domain.lo, domain.hi, 6)
             vals = [f(x) for x in xs]
             i = int(np.argmax(vals))
@@ -537,6 +538,85 @@ class TestPairSplit:
                            atol=0.0)
         assert np.allclose(b * gaussian_tail(d - threshold), value, rtol=1e-12,
                            atol=0.0)
+
+
+def _at_spacing(delta):
+    """Stand-in for the outer search of a nested bound: solve the inner
+    problem at one spacing only."""
+    def outer(f, domain, *, cells=512):
+        return OptResult(argmax=(delta,), value=f(delta), evaluations=1)
+    return outer
+
+
+def _pinned_factor(rows):
+    """qr/(q+r) + rw/(r+w), 0 for a pair without mass."""
+    def pinned(x, y):
+        total = x + y
+        return np.where(total > 0.0, x * y / np.where(total > 0.0, total, 1.0),
+                        0.0)
+    return pinned(rows[:, 0], rows[:, 1]) + pinned(rows[:, 1], rows[:, 2])
+
+
+class TestNestedInnerSolves:
+    @pytest.mark.parametrize("model_id", _LIMIT_IDS)
+    def test_moment_exact_q_matches_the_box_search(self, model_id, monkeypatch):
+        # with r searched, the best q for each r is the limit's pair split
+        model = models.get_model(model_id)
+        for delta in (0.3, 1.0, 3.0):
+            monkeypatch.setattr(bounds, "maximize_1d", _at_spacing(delta))
+            for t in (1.0, 1.5, 3.0):
+                def rows_value(qr):
+                    q, r = qr[:, 0], qr[:, 1]
+                    return delta ** t * bounds._pair_risk(
+                        lambda c: model.limit.pe_pair(1.0, delta, c),
+                        (1.0 - r) ** (t - 1.0) * q, r ** (t - 1.0) * (1.0 - q))
+
+                _, box = bounds._max_box2(rows_value)
+                rep = mx.moment_two_point_bound(model, t)
+                assert rep.argmax["delta"] == delta
+                assert rep.value >= box * (1.0 - 1e-12), (delta, t)
+                assert rep.reevaluate() == rep.value
+
+    def test_moment_exact_q_at_the_domain_edge(self, uniform_scale):
+        # the best spacing is the edge delta = 20, where G(a, b) = min{a, b/e}:
+        # the best q gives A*B/(A+B) with A = (1-r)^5, B = r^5/e.  A box
+        # search over (q, r) returned 593979.08 here, 1e-4 short.
+        rep = mx.moment_two_point_bound(uniform_scale, 6.0, theta=20.0)
+        r = np.linspace(0.0, 1.0, 200001)
+        big_a, big_b = (1.0 - r) ** 5, r ** 5 / math.e
+        ref = 20.0 ** 6 * float(np.max(big_a * big_b / (big_a + big_b)))
+        assert rep.argmax["delta"] == 20.0
+        assert rep.value >= ref * (1.0 - 1e-12)
+        assert rep.reevaluate() == rep.value
+
+    @pytest.mark.parametrize("model_id", ["gauss-location", "uniform-scale",
+                                          "awgn-rect"])
+    @pytest.mark.parametrize("w_zero", [False, True], ids=["w", "w_zero"])
+    def test_half_three_point_closed_form_row(self, model_id, w_zero):
+        model = models.get_model(model_id)
+        rep = mx.three_point_bound(model, inner_prior="half", w_zero=w_zero)
+        assert rep.reevaluate() == rep.value
+
+        if w_zero:
+            opt = maximize_simplex(
+                lambda rows: _pinned_factor(
+                    np.column_stack([rows, np.zeros(len(rows))])),
+                dim=2, vectorized=True)
+            row = (*opt.argmax, 0.0)
+        else:
+            row = maximize_simplex(_pinned_factor, dim=3, vectorized=True).argmax
+        assert np.allclose([rep.argmax[k] for k in "qrw"], row,
+                           rtol=0.0, atol=1e-8)
+
+        # given a right-flank error of its own, the engine searches the
+        # simplex at every spacing, as it does at finite sample size
+        def pe(delta, c):
+            return model.limit.pe_pair(1.0, delta, c)
+
+        argmax, objective = bounds._three_point_engine(
+            pe, pe, None, bounds._as_domain(None), "half", w_zero)
+        searched = objective(**argmax)
+        assert abs(rep.value - searched) <= 1e-12 * searched
 
 
 class TestBoundReport:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from minimaxlb.numerics import (Interval, OptResult, QuadratureError,
+from minimaxlb.numerics import (INV_PHI, Interval, OptResult, QuadratureError,
                                 gaussian_tail, integrate_adaptive,
                                 integrate_semi_infinite, maximize_1d,
                                 maximize_simplex)
@@ -66,6 +66,32 @@ class TestMaximize1d:
         assert res.value == f(res.argmax[0])
         assert isinstance(res, OptResult)
         assert res.evaluations > 512
+
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    def test_caller_sets_the_grid(self, cells):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -(x - 2.3) ** 2
+
+        res = maximize_1d(f, Interval(0.0, 6.0), cells=cells)
+        grid = np.linspace(0.0, 6.0, cells + 1)
+        assert calls[:cells + 1] == list(grid)
+        # the rest are golden-section steps inside the cells flanking the
+        # best grid point, shrinking a bracket of width at most 2*6/cells by
+        # 1/phi per step down to 1e-10*6
+        golden = calls[cells + 1:]
+        best = grid[int(np.argmin(np.abs(grid - 2.3)))]
+        steps = math.log(2.0 * 6.0 / cells / 6e-10) / math.log(1.0 / INV_PHI)
+        assert res.evaluations == cells + 1 + len(golden)
+        assert 2 <= len(golden) <= math.ceil(steps) + 2
+        assert all(abs(x - best) <= 6.0 / cells for x in golden)
+        assert abs(res.argmax[0] - 2.3) < 1e-6
+
+    def test_rejects_an_empty_grid(self):
+        with pytest.raises(ValueError, match="cell"):
+            maximize_1d(lambda x: -x, Interval(0.0, 1.0), cells=0)
 
 
 class TestMaximizeSimplex:
