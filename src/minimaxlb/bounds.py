@@ -224,25 +224,25 @@ def _max_box2(fvec, grid: int = 65):
     return opt.argmax, opt.value
 
 
-def _rowwise_max_01(f, k: int, grid: int = 17, iters: int = 48):
+def _rowwise_max_01(f, k: int):
     """Row-parallel maximization on [0,1].
 
     f maps a (k,) vector of abscissas (one per row) to (k,) values.  Scan a
-    shared grid, then run golden-section on per-row brackets, all rows in
-    lockstep.  Assumes row objectives are unimodal (true for the prior-mass
-    products used here: products of linear masses and limiting error curves).
+    shared 17-point grid, then run 60 golden-section steps on per-row
+    brackets, all rows in lockstep.  Assumes row objectives are unimodal
+    (true for the pair splits searched here: G((1-u)a, u*b) is concave in u).
     """
-    us = np.linspace(0.0, 1.0, grid)
+    us = np.linspace(0.0, 1.0, 17)
     best_v = np.asarray(f(np.full(k, us[0])), dtype=float)
     best_i = np.zeros(k, dtype=int)
-    for idx in range(1, grid):
+    for idx in range(1, len(us)):
         v = np.asarray(f(np.full(k, us[idx])), dtype=float)
         better = v > best_v
         best_v = np.where(better, v, best_v)
         best_i = np.where(better, idx, best_i)
     a = us[np.maximum(best_i - 1, 0)].astype(float)
-    b = us[np.minimum(best_i + 1, grid - 1)].astype(float)
-    for _ in range(iters):
+    b = us[np.minimum(best_i + 1, len(us) - 1)].astype(float)
+    for _ in range(60):
         h = b - a
         c = a + INV_PHI2 * h
         d = a + INV_PHI * h
@@ -257,6 +257,55 @@ def _rowwise_max_01(f, k: int, grid: int = 17, iters: int = 48):
     x = np.where(keep_grid, us[best_i], x)
     y = np.where(keep_grid, best_v, y)
     return x, y
+
+
+def _searched_split(pe):
+    """split(lo, hi, a, b) for a pair source without an exact one: the
+    maximum over u of G((1-u)a, u*b), searched row by row."""
+    def split(lo, hi, a, b):
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                                   np.asarray(b, dtype=float))
+        flat_a, flat_b = a.ravel(), b.ravel()
+        u, value = _rowwise_max_01(
+            lambda u: _pair_risk(lambda c: pe(lo, hi, c),
+                                 (1.0 - u) * flat_a, u * flat_b), a.size)
+        return u.reshape(a.shape), value.reshape(a.shape)
+    return split
+
+
+def _pair_source(model: Model, theta: float, n: Optional[int],
+                 theta0: Optional[float], bound: str):
+    """Pair errors of the nested bounds, for test points at offsets lo < hi.
+
+    Returns pe(lo, hi, c), the pair error with prior c on lo, and
+    split(lo, hi, a, b), the pair's exact split as in
+    LocalErrorLimit.pair_split, or None where the source has none.  Without
+    ``n`` the source is the model's local limit at theta, with offsets in
+    contraction units; with ``n`` it is the exact oracle for the test points
+    theta0 + lo and theta0 + hi.
+    """
+    if n is None:
+        pe_pair = _require_pe_pair(model)
+        limit_split = model.limit.pair_split
+
+        def pe(lo, hi, c):
+            return pe_pair(theta, hi - lo, c)
+
+        def split(lo, hi, a, b):
+            return limit_split(theta, hi - lo, a, b)
+
+        return pe, None if limit_split is None else split
+    oracle = _require_oracle(model)
+    if theta0 is None:
+        raise ValueError(f"finite-sample {bound} bound needs theta0")
+
+    def pe(lo, hi, c):
+        return oracle.pe(c, theta0 + lo, theta0 + hi, n)
+
+    def split(lo, hi, a, b):
+        return oracle.pair_split(a, b, theta0 + lo, theta0 + hi, n)
+
+    return pe, None if oracle.pair_split is None else split
 
 
 def _nested_max(inner, domain: Interval):
@@ -368,39 +417,27 @@ def moment_two_point_bound(model: Model, t: float, theta: float = 1.0,
 
     At r = 1/2, t = 2 the objective collapses to the plain two-point MSE
     objective.  Without ``n`` the bound is local: delta is the separation in
-    contraction units and P_e is the model's fixed-prior limit.
+    contraction units and P_e is the model's fixed-prior limit.  For each r
+    the best q is the pair split of the source; a source without one has
+    (q, r) searched together.
     """
     if t < 1.0:
         raise ValueError("moment bound needs t >= 1")
     loss = LossSpec.power(t)
     domain = _as_domain(s_domain)
-    local = n is None
-    split = None
-    if local:
-        pe_pair = _require_pe_pair(model)
-        split = model.limit.pair_split
-
-        def pe_at(delta, c):
-            return pe_pair(theta, delta, c)
-    else:
-        oracle = _require_oracle(model)
-        if theta0 is None:
-            raise ValueError("finite-sample moment bound needs theta0")
-
-        def pe_at(delta, c):
-            return oracle.pe(c, theta0, theta0 + delta, n)
+    pe, split = _pair_source(model, theta, n, theta0, "moment")
 
     def rows_value(delta: float, qr: np.ndarray) -> np.ndarray:
         q = qr[:, 0]
         r = qr[:, 1]
-        return delta ** t * _pair_risk(lambda c: pe_at(delta, c),
+        return delta ** t * _pair_risk(lambda c: pe(0.0, delta, c),
                                        (1.0 - r) ** (t - 1.0) * q,
                                        r ** (t - 1.0) * (1.0 - q))
 
     def split_at(delta: float, r):
         # for a fixed r the best q is the pair split of the masses
         # a = (1-r)^(t-1), b = r^(t-1), with q = 1 - u
-        return split(theta, delta, (1.0 - r) ** (t - 1.0), r ** (t - 1.0))
+        return split(0.0, delta, (1.0 - r) ** (t - 1.0), r ** (t - 1.0))
 
     def inner(delta: float):
         if r_fixed is not None:
@@ -418,7 +455,7 @@ def moment_two_point_bound(model: Model, t: float, theta: float = 1.0,
     def objective(delta: float, q: float, r: float) -> float:
         return float(rows_value(delta, np.array([[q, r]]))[0])
 
-    rate = model.limit.rate.with_power_loss(t) if local else None
+    rate = model.limit.rate.with_power_loss(t) if n is None else None
     notes = () if r_fixed is None else (f"loss split r frozen at {r_fixed:g}",)
     return BoundReport(bound_id="moment", model_id=model.id,
                        value=objective(d_star, q_star, r_star), loss=loss,
@@ -435,78 +472,41 @@ _HALF_ROW = (1.0 - math.sqrt(0.5), math.sqrt(2.0) - 1.0, 1.0 - math.sqrt(0.5))
 _HALF_ROW_W_ZERO = (0.5, 0.5, 0.0)
 
 
-def _three_point_engine(pe_left, pe_right, split, domain: Interval,
-                        inner_prior: str, w_zero: bool):
+def _three_point_engine(pe, split, domain: Interval, inner_prior: str,
+                        w_zero: bool):
     """Shared search for the three-point relaxed bound.
 
-    Test points theta0 - delta, theta0, theta0 + delta carry simplex weights
-    (q, r, w).  Each flank pair is reduced to a binary problem whose inner
-    prior split is either optimized freely (u, v in [0,1]) or pinned to the
-    half-prior choice u = q/(q+r), v = w/(w+r).
+    Test points at offsets -delta, 0, +delta carry simplex weights (q, r, w).
+    Each flank pair is reduced to a binary problem whose inner prior split is
+    either optimized freely (u, v in [0,1]) or pinned to the half-prior choice
+    u = q/(q+r), v = w/(w+r).
 
-    pe_left(delta, c) and pe_right(delta, c) give the pair error with prior c
-    on the lower point of the pair; pe_right None means both flanks share
-    pe_left, as in the local limit.  split(delta, a, b), if given, is the
-    exact best free split of a pair with masses a (lower point) and b, as
-    LocalErrorLimit.pair_split; it serves both flanks, so pe_right must then
-    be None.  Without it the free splits are searched row by row.
+    pe(lo, hi, c) is the error of the pair at offsets lo < hi with prior c on
+    lo, and split(lo, hi, a, b) that pair's best free split of the masses a
+    (on lo) and b, as LocalErrorLimit.pair_split.  Free mode scores each
+    simplex row by the two splits.
 
-    With shared flanks the pinned-split objective is delta^2 * 2 pe(delta, 1/2)
-    times qr/(q+r) + rw/(r+w), a concave factor symmetric in q <-> w and free
-    of delta: its maximizer q = w = 1 - 1/sqrt(2), r = sqrt(2) - 1 (value
-    6 - 4 sqrt(2)), or q = r = 1/2 with w pinned to 0 (value 1/4), replaces
-    the per-delta simplex search.
+    Pinned splits give both masses of a pair the same value, so the objective
+    is delta^2 * (pe_l qr/(q+r) + pe_r rw/(r+w)), pe_l and pe_r twice the
+    flank errors at prior 1/2.  Where they are equal (always in the local
+    limit) the factor qr/(q+r) + rw/(r+w) is concave, symmetric in q <-> w
+    and free of delta: its maximizer q = w = 1 - 1/sqrt(2), r = sqrt(2) - 1
+    (value 6 - 4 sqrt(2)), or q = r = 1/2 with w pinned to 0 (value 1/4),
+    replaces the simplex search.
     """
-    shared = pe_right is None
-    if shared:
-        pe_right = pe_left
 
-    def left_term(delta, u, q, r):
-        return _pair_risk(lambda c: pe_left(delta, c), (1.0 - u) * q, u * r)
-
-    def right_term(delta, v, r, w):
-        return _pair_risk(lambda c: pe_right(delta, c), v * r, (1.0 - v) * w)
-
-    def pinned_uv(q, r, w):
-        qr = q + r
-        rw = r + w
-        u = np.where(qr > 0.0, q / np.where(qr > 0.0, qr, 1.0), 0.5)
-        v = np.where(rw > 0.0, w / np.where(rw > 0.0, rw, 1.0), 0.5)
-        return u, v
+    def objective(delta, q, r, w, u, v):
+        return float(delta ** 2 * (
+            _pair_risk(lambda c: pe(-delta, 0.0, c), (1.0 - u) * q, u * r)
+            + _pair_risk(lambda c: pe(0.0, delta, c), v * r, (1.0 - v) * w)))
 
     def pinned_mass(x, y):
         """x*y/(x+y): the mass on each point of a pair split the pinned way."""
         total = x + y
         return np.where(total > 0.0, x * y / np.where(total > 0.0, total, 1.0), 0.0)
 
-    def row_search(delta: float):
-        """The simplex weights (q, r, w) with the best inner value at delta."""
-        if inner_prior == "half":
-            # both masses of a pair get the same value, so each pair's risk
-            # is twice that mass times the pair error at prior 1/2
-            pe_l = 2.0 * float(pe_left(delta, 0.5))
-            pe_r = 2.0 * float(pe_right(delta, 0.5))
-
-            def batch(rows: np.ndarray) -> np.ndarray:
-                q, r, w = rows[:, 0], rows[:, 1], rows[:, 2]
-                return delta ** 2 * (pe_l * pinned_mass(q, r)
-                                     + pe_r * pinned_mass(r, w))
-        elif split is not None:
-            def batch(rows: np.ndarray) -> np.ndarray:
-                q, r, w = rows[:, 0], rows[:, 1], rows[:, 2]
-                return delta ** 2 * (split(delta, q, r)[1] + split(delta, r, w)[1])
-        else:
-            def batch(rows: np.ndarray) -> np.ndarray:
-                # coarse per-row search: it only ranks simplex rows, and
-                # the winning row's pair priors are re-solved tightly below
-                q, r, w = rows[:, 0], rows[:, 1], rows[:, 2]
-                k = len(rows)
-                _, lvals = _rowwise_max_01(lambda u: left_term(delta, u, q, r),
-                                           k, grid=9, iters=14)
-                _, rvals = _rowwise_max_01(lambda v: right_term(delta, v, r, w),
-                                           k, grid=9, iters=14)
-                return delta ** 2 * (lvals + rvals)
-
+    def search(batch):
+        """The simplex row (q, r, w) that maximizes batch."""
         if w_zero:
             opt = maximize_simplex(
                 lambda rows2: batch(np.column_stack(
@@ -517,27 +517,33 @@ def _three_point_engine(pe_left, pe_right, split, domain: Interval,
 
     def inner(delta: float):
         """Maximize over the simplex (and u, v); returns argmax and value."""
-        if inner_prior == "half" and shared:
-            q, r, w = _HALF_ROW_W_ZERO if w_zero else _HALF_ROW
-        else:
-            q, r, w = row_search(delta)
         if inner_prior == "half":
-            u, v = (float(x) for x in pinned_uv(q, r, w))
-        elif split is not None:
-            # the right pair is G(v*r, (1-v)*w): v is one minus the split of (r, w)
-            u = float(split(delta, q, r)[0])
-            v = 1.0 - float(split(delta, r, w)[0])
-        else:
-            ua, _ = _rowwise_max_01(lambda uu: left_term(delta, uu, q, r),
-                                    1, grid=33, iters=60)
-            va, _ = _rowwise_max_01(lambda vv: right_term(delta, vv, r, w),
-                                    1, grid=33, iters=60)
-            u, v = float(ua[0]), float(va[0])
-        return (q, r, w, u, v), objective(delta, q, r, w, u, v)
+            pe_l = 2.0 * float(pe(-delta, 0.0, 0.5))
+            pe_r = 2.0 * float(pe(0.0, delta, 0.5))
 
-    def objective(delta, q, r, w, u, v):
-        return float(delta ** 2 * (left_term(delta, u, q, r)
-                                   + right_term(delta, v, r, w)))
+            def batch(rows: np.ndarray) -> np.ndarray:
+                q, r, w = rows[:, 0], rows[:, 1], rows[:, 2]
+                return delta ** 2 * (pe_l * pinned_mass(q, r)
+                                     + pe_r * pinned_mass(r, w))
+
+            if pe_l == pe_r:
+                q, r, w = _HALF_ROW_W_ZERO if w_zero else _HALF_ROW
+            else:
+                q, r, w = search(batch)
+            u = float(q / (q + r)) if q + r > 0.0 else 0.5
+            v = float(w / (r + w)) if r + w > 0.0 else 0.5
+            return (q, r, w, u, v), float(batch(np.array([[q, r, w]]))[0])
+
+        def batch(rows: np.ndarray) -> np.ndarray:
+            q, r, w = rows[:, 0], rows[:, 1], rows[:, 2]
+            return delta ** 2 * (split(-delta, 0.0, q, r)[1]
+                                 + split(0.0, delta, r, w)[1])
+
+        q, r, w = search(batch)
+        # the right pair is G(v*r, (1-v)*w): v is one minus the split of (r, w)
+        u = float(split(-delta, 0.0, q, r)[0])
+        v = 1.0 - float(split(0.0, delta, r, w)[0])
+        return (q, r, w, u, v), objective(delta, q, r, w, u, v)
 
     d_star, (q, r, w, u, v) = _nested_max(inner, domain)
     argmax = {"delta": d_star, "q": q, "r": r, "w": w, "u": u, "v": v}
@@ -557,37 +563,17 @@ def three_point_bound(model: Model, theta: float = 1.0, s_domain=None, *,
     the choice that makes both pair priors equal, which decouples the simplex
     factor from the error curve (and is how the quoted Gaussian value arises).
     Setting ``w_zero`` drops the third point, recovering the t=2 moment bound.
+    Without ``n`` the bound is local: delta is in contraction units around
+    theta.  A source without an exact pair split has its splits searched.
     """
     if inner_prior not in ("free", "half"):
         raise ValueError("inner_prior must be 'free' or 'half'")
     domain = _as_domain(s_domain)
-    local = n is None
-    split = None
-    if local:
-        pe_pair = _require_pe_pair(model)
-
-        def pe_left(delta, c):
-            return pe_pair(theta, delta, c)
-
-        pe_right = None
-        if model.limit.pair_split is not None:
-            def split(delta, a, b):
-                return model.limit.pair_split(theta, delta, a, b)
-    else:
-        oracle = _require_oracle(model)
-        if theta0 is None:
-            raise ValueError("finite-sample three-point bound needs theta0")
-
-        def pe_left(delta, c):
-            return oracle.pe(c, theta0 - delta, theta0, n)
-
-        def pe_right(delta, c):
-            return oracle.pe(c, theta0, theta0 + delta, n)
-
-    argmax, objective = _three_point_engine(pe_left, pe_right, split, domain,
-                                            inner_prior, w_zero)
+    pe, split = _pair_source(model, theta, n, theta0, "three-point")
+    argmax, objective = _three_point_engine(
+        pe, split or _searched_split(pe), domain, inner_prior, w_zero)
     loss = LossSpec.mse()
-    rate = model.limit.rate.with_power_loss(2.0) if local else None
+    rate = model.limit.rate.with_power_loss(2.0) if n is None else None
     notes = (f"pair priors {inner_prior}",)
     if w_zero:
         notes += ("third-point weight pinned to 0",)

@@ -8,7 +8,6 @@ entries without touching code.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -155,6 +154,11 @@ def compute_bound(model_id: str, bound_id: str, loss: LossSpec, params: dict,
 
     theta = float(params.get("theta", 1.0))
     n = int(params.get("n", 1))
+    # the nested bounds are local unless a sample size is given; then they
+    # run on the exact oracle around theta0, which they require
+    finite = {} if "n" not in params else {
+        "n": n, "theta0": None if "theta0" not in params
+        else float(params["theta0"])}
 
     if bound_id == "two-point":
         return bounds.two_point_bound(model, loss, float(params["theta0"]),
@@ -177,7 +181,7 @@ def compute_bound(model_id: str, bound_id: str, loss: LossSpec, params: dict,
         r_fixed = params.get("r")
         return bounds.moment_two_point_bound(
             model, loss.t, theta, _s_domain(params),
-            r_fixed=None if r_fixed is None else float(r_fixed))
+            r_fixed=None if r_fixed is None else float(r_fixed), **finite)
 
     if bound_id == "three-point":
         if loss.describe() != "mse":
@@ -185,7 +189,7 @@ def compute_bound(model_id: str, bound_id: str, loss: LossSpec, params: dict,
         return bounds.three_point_bound(
             model, theta, _s_domain(params),
             inner_prior=str(params.get("inner", "free")),
-            w_zero=bool(params.get("w_zero", False)))
+            w_zero=bool(params.get("w_zero", False)), **finite)
 
     if bound_id == "three-point-exact":
         if model_id != "uniform-scale":
@@ -252,13 +256,9 @@ def _run_one(entry: ReproEntry, seed: Optional[int]) -> ReproEntry:
     return entry
 
 
-def run_entries(entries, jobs: int = 1, seed: Optional[int] = None) -> list:
-    """Run manifest entries, up to ``jobs`` concurrently; results keep
-    manifest order regardless of completion order."""
-    if jobs <= 1:
-        return [_run_one(e, seed) for e in entries]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda e: _run_one(e, seed), entries))
+def run_entries(entries, seed: Optional[int] = None) -> list:
+    """Run manifest entries one after another, in manifest order."""
+    return [_run_one(e, seed) for e in entries]
 
 
 DEFAULT_MANIFEST = """\

@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--only", default=None,
                      help="run only entries whose label contains this text")
     rep.add_argument("--jobs", type=int, default=1,
-                     help="number of entries to run concurrently")
+                     help="accepted and ignored: entries run one at a time, "
+                          "in manifest order")
     rep.add_argument("--seed", type=int, default=None,
                      help="seed override for Monte-Carlo entries")
     rep.add_argument("--format", choices=("table", "csv", "json"),
@@ -208,7 +209,7 @@ def _cmd_reproduce(args) -> int:
         print("minimaxlb: no manifest entries to run", file=sys.stderr)
         return 2
 
-    entries = catalog.run_entries(entries, jobs=args.jobs, seed=args.seed)
+    entries = catalog.run_entries(entries, seed=args.seed)
     failures = [e for e in entries if not e.passed]
 
     if args.format == "json":

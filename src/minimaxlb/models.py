@@ -19,6 +19,12 @@ pe_pair is the primitive: the multi-point engines weight pairs of test points
 with priors that are themselves being optimized, so they need the fixed-prior
 limit, not only the q-maximized one.  pair_split(theta, delta, a, b) solves
 their inner problem exactly: the best split of two prior masses a and b.
+
+Both sources of pair errors carry such a split.  With G(x, y) = (x+y) *
+pe(x/(x+y)) the Bayes error of a pair with prior masses x and y, a split
+returns (u, value): value is the maximum over u in [0, 1] of
+G((1-u)*a, u*b) and u the split that attains it, elementwise over the
+masses a, b >= 0, with value 0 where a or b is 0.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ __all__ = [
     "binary_gaussian_error",
     "binary_gaussian_split",
     "exponential_rate_pe",
+    "exponential_rate_split",
     "uniform_scale_pe",
     "uniform_location_pe",
     "gaussian_location_pe",
@@ -67,9 +74,17 @@ class BinaryErrorOracle:
     Registry oracles accept either ordering of the test points and coincident
     points (where pe = min{q, 1-q}); they are concave in q with pe(0) = pe(1) = 0
     and satisfy pe(q, a, b) = pe(1-q, b, a).
+
+    pair_split(a, b, theta0, theta1, n) -> (u, value), vectorized over the
+    masses a (on theta0) and b (on theta1), is the exact maximum over u in
+    [0, 1] of G((1-u)*a, u*b), G(x, y) = (x+y) * pe(x/(x+y), theta0, theta1,
+    n), and the u that attains it; value is 0 where a or b is 0.  All
+    registry oracles define it, for the same orderings as pe; an oracle
+    without one (None) has its splits searched.
     """
 
     pe: Callable
+    pair_split: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -239,6 +254,47 @@ def exponential_rate_pe(q, theta0: float, theta1: float):
     return float(out) if out.ndim == 0 else out
 
 
+def exponential_rate_split(a, b, theta0: float, theta1: float):
+    """Exact pair split for a single exponential observation, rate theta0
+    (mass a) versus theta1 (mass b), 0 < theta0 < theta1.
+
+    The MAP rule picks theta1 below a threshold t, erring with probability
+    1 - e^(-theta0 t) under theta0 and e^(-theta1 t) under theta1.  The best
+    split equalizes the two weighted error types: a*(1 - e^(-theta0 t*)) =
+    b*e^(-theta1 t*), value b*e^(-theta1 t*).  t* is the root of f(t) =
+    ln(a/b) + ln(1 - e^(-theta0 t)) + theta1*t, which is increasing and
+    concave, so Newton steps from a point where f <= 0 rise monotonically to
+    it.  Then u = expit(ln(a*theta0 / (b*theta1)) + (theta1 - theta0)*t*).
+    Value 0 (and u = 1/2) where a or b is 0.
+    """
+    if not (0.0 < theta0 < theta1):
+        raise ValueError("need 0 < theta0 < theta1")
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    pos = (a > 0.0) & (b > 0.0)
+    log_ratio = np.log(np.where(pos, a, 1.0)) - np.log(np.where(pos, b, 1.0))
+    # 1 - e^(-x) <= x gives f(t) <= ln(a/b) + ln(theta0 t) + theta1 t, which
+    # is <= 0 at t = min(1/theta1, b/(e a theta0)); the floor keeps t normal,
+    # and a start past the root then halves back towards it
+    t = np.exp(np.maximum(np.minimum(-math.log(theta1),
+                                     -log_ratio - 1.0 - math.log(theta0)),
+                          -700.0))
+    for _ in range(_SPLIT_MAX_ITERS):
+        em1 = -np.expm1(-theta0 * t)
+        f = log_ratio + np.log(em1) + theta1 * t
+        # f' = theta0 e^(-theta0 t) / (1 - e^(-theta0 t)) + theta1
+        step = t - f / (theta0 * (1.0 - em1) / em1 + theta1)
+        t_new = np.maximum(step, 0.5 * t)
+        done = np.abs(t_new - t) <= _SPLIT_XTOL * t
+        t = t_new
+        if done.all():
+            break
+    u = np.where(pos, expit(log_ratio + math.log(theta0 / theta1)
+                            + (theta1 - theta0) * t), 0.5)
+    value = np.where(pos, b * np.exp(-theta1 * t), 0.0)
+    return u, value
+
+
 def uniform_scale_pe(q, theta0: float, theta1: float, n: int):
     """MAP error for n iid draws from Uniform[0, theta], theta0 vs theta1.
 
@@ -284,12 +340,16 @@ def _separation(theta0, theta1) -> float:
 def gaussian_location_pe(q, theta0, theta1, n: int, sigma: float):
     """MAP error for n iid Gaussian draws with known scale sigma and mean
     theta0 vs theta1 (scalars or same-length vectors)."""
+    return binary_gaussian_error(q, _gaussian_distance(theta0, theta1, n, sigma))
+
+
+def _gaussian_distance(theta0, theta1, n: int, sigma: float) -> float:
+    """Distance of the two sample means in units of their standard error."""
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     if n < 1:
         raise ValueError("need n >= 1")
-    d = math.sqrt(n) * _separation(theta0, theta1) / sigma
-    return binary_gaussian_error(q, d)
+    return math.sqrt(n) * _separation(theta0, theta1) / sigma
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +577,7 @@ class ExponentialRateSampler:
 
 
 _MC_CHUNK_DRAWS = 2 ** 17
+_MC_Z = 1.96  # two-sided 95% normal quantile
 
 
 def monte_carlo_pe(sampler, q: float, theta0, theta1, n: int, trials: int,
@@ -525,8 +586,10 @@ def monte_carlo_pe(sampler, q: float, theta0, theta1, n: int, trials: int,
 
     Draws the hypothesis with priors (q, 1-q), samples n observations from the
     true model, decides by comparing log q + log p(x|theta0) against
-    log(1-q) + log p(x|theta1), and reports the empirical error rate with a
-    95% binomial half-width.  Fully determined by ``seed``.
+    log(1-q) + log p(x|theta1), and reports the empirical error rate with the
+    half-width of its 95% Wilson (1927) score interval: the larger distance
+    from the estimate to the interval's ends, which stays positive at an
+    empirical rate of 0 or 1.  Fully determined by ``seed``.
     """
     if trials < 10_000:
         raise ValueError("need at least 10^4 trials for a meaningful half-width")
@@ -550,7 +613,11 @@ def monte_carlo_pe(sampler, q: float, theta0, theta1, n: int, trials: int,
             errors += int(np.count_nonzero(decide_h0 == truth_h1))
 
     p_hat = errors / trials
-    half_width = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
+    z2n = _MC_Z * _MC_Z / trials
+    center = (p_hat + 0.5 * z2n) / (1.0 + z2n)
+    radius = _MC_Z / (1.0 + z2n) * math.sqrt(
+        p_hat * (1.0 - p_hat) / trials + 0.25 * z2n / trials)
+    half_width = radius + abs(center - p_hat)
     return PeEstimate(estimate=p_hat, half_width=half_width, trials=trials,
                       seed=seed)
 
@@ -558,9 +625,10 @@ def monte_carlo_pe(sampler, q: float, theta0, theta1, n: int, trials: int,
 # ---------------------------------------------------------------------------
 # registry
 
-def _symmetric_oracle(ordered_pe):
-    """Wrap an orientation-specific pe(q, lo, hi, n) so the registry oracle
-    accepts both orderings and coincident points."""
+def _symmetric_oracle(ordered_pe, ordered_split) -> BinaryErrorOracle:
+    """The registry oracle of an orientation-specific pair error
+    ordered_pe(q, lo, hi, n) and its split ordered_split(a, b, lo, hi, n),
+    lo < hi: it accepts both orderings and coincident points."""
 
     def pe(q, theta0, theta1, n):
         q = np.asarray(q, dtype=float)
@@ -571,19 +639,37 @@ def _symmetric_oracle(ordered_pe):
             return ordered_pe(q, theta0, theta1, n)
         return ordered_pe(1.0 - q, theta1, theta0, n)
 
-    return pe
+    def pair_split(a, b, theta0, theta1, n):
+        # coincident points err with min{q, 1-q}, so G(x, y) = min{x, y}
+        if theta0 == theta1:
+            return _min_form_split(1.0, 1.0, a, b)
+        if theta0 < theta1:
+            return ordered_split(a, b, theta0, theta1, n)
+        # G(x, y) at (theta0, theta1) is G(y, x) at (theta1, theta0)
+        u, value = ordered_split(b, a, theta1, theta0, n)
+        return 1.0 - u, value
+
+    return BinaryErrorOracle(pe, pair_split)
+
+
+def _single_observation(n):
+    if n != 1:
+        raise ValueError("the exponential rate oracle is single-observation (n = 1)")
 
 
 def _make_exp_rate() -> Model:
     def ordered(q, t0, t1, n):
-        if n != 1:
-            raise ValueError("the exponential rate oracle is single-observation (n = 1)")
+        _single_observation(n)
         return exponential_rate_pe(q, t0, t1)
+
+    def ordered_split(a, b, t0, t1, n):
+        _single_observation(n)
+        return exponential_rate_split(a, b, t0, t1)
 
     desc = ModelDescriptor(
         id="exp-rate", parameter_space=Interval(0.0, math.inf),
         notes="exponential density with rate theta, single observation")
-    return Model(descriptor=desc, oracle=BinaryErrorOracle(_symmetric_oracle(ordered)),
+    return Model(descriptor=desc, oracle=_symmetric_oracle(ordered, ordered_split),
                  sampler=ExponentialRateSampler())
 
 
@@ -591,10 +677,16 @@ def _make_uniform_scale() -> Model:
     def ordered(q, t0, t1, n):
         return uniform_scale_pe(q, t0, t1, n)
 
+    def ordered_split(a, b, t0, t1, n):
+        # pe = min{q, (1-q) (t0/t1)^n}, so G(x, y) = min{x, (t0/t1)^n y}
+        if not (t0 > 0.0 and n >= 1):
+            raise ValueError("need 0 < theta0 and n >= 1")
+        return _min_form_split(1.0, (t0 / t1) ** n, a, b)
+
     desc = ModelDescriptor(
         id="uniform-scale", parameter_space=Interval(0.0, math.inf),
         notes="Uniform[0, theta]; contraction xi = 1/n")
-    return Model(descriptor=desc, oracle=BinaryErrorOracle(_symmetric_oracle(ordered)),
+    return Model(descriptor=desc, oracle=_symmetric_oracle(ordered, ordered_split),
                  limit=uniform_scale_limit(), sampler=UniformScaleSampler())
 
 
@@ -602,10 +694,17 @@ def _make_uniform_location() -> Model:
     def ordered(q, t0, t1, n):
         return uniform_location_pe(q, t0, t1, n)
 
+    def ordered_split(a, b, t0, t1, n):
+        # pe = (1 - spacing)^n min{q, 1-q}: both arms carry the overlap
+        if not (t1 - t0 < 1.0 and n >= 1):
+            raise ValueError("need theta1 - theta0 < 1 and n >= 1")
+        overlap = (1.0 - (t1 - t0)) ** n
+        return _min_form_split(overlap, overlap, a, b)
+
     desc = ModelDescriptor(id="uniform-location",
                            parameter_space=Interval(-1e308, math.inf),
                            notes="Uniform[theta, theta+1]; contraction xi = 1/n")
-    return Model(descriptor=desc, oracle=BinaryErrorOracle(_symmetric_oracle(ordered)),
+    return Model(descriptor=desc, oracle=_symmetric_oracle(ordered, ordered_split),
                  limit=uniform_location_limit(), sampler=UniformLocationSampler())
 
 
@@ -613,15 +712,19 @@ def _make_gauss_location(sigma: float = 1.0) -> Model:
     if not sigma > 0:
         raise ValueError("sigma must be positive")
 
+    # already symmetric: both depend on the separation only, and the pair
+    # error is symmetric in q <-> 1-q, so G(x, y) = G(y, x)
     def pe(q, theta0, theta1, n):
-        # already symmetric: depends on the separation only, and the
-        # closed form is invariant under (q, theta0) <-> (1-q, theta1)
         return gaussian_location_pe(q, theta0, theta1, n, sigma)
+
+    def pair_split(a, b, theta0, theta1, n):
+        return binary_gaussian_split(
+            a, b, _gaussian_distance(theta0, theta1, n, sigma))
 
     desc = ModelDescriptor(
         id="gauss-location", parameter_space=Interval(-1e308, math.inf),
         notes=f"Gaussian location, sigma={sigma:g}; contraction xi = n^-0.5")
-    return Model(descriptor=desc, oracle=BinaryErrorOracle(pe),
+    return Model(descriptor=desc, oracle=BinaryErrorOracle(pe, pair_split),
                  limit=gaussian_location_limit(sigma),
                  sampler=GaussianLocationSampler(sigma),
                  params={"sigma": sigma})

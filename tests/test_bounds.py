@@ -1,5 +1,6 @@
 """Bound engines against independent reference values."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -191,18 +192,7 @@ class TestThreePoint:
         assert rep.value <= three_point_gauss_half.value + 1e-12
         assert any("pinned to 0" in note for note in rep.notes)
 
-    def test_finite_sample_free_pair_priors(self, gauss, monkeypatch):
-        # the row-by-row split search of the finite-sample path; a 6-point
-        # outer scan stands in for the 65-point one, which takes about 15 s,
-        # and serves both prior modes alike
-        def outer_scan(f, domain, *, cells=512):
-            xs = np.linspace(domain.lo, domain.hi, 6)
-            vals = [f(x) for x in xs]
-            i = int(np.argmax(vals))
-            return OptResult(argmax=(float(xs[i]),), value=vals[i],
-                             evaluations=len(xs))
-
-        monkeypatch.setattr(bounds, "maximize_1d", outer_scan)
+    def test_finite_sample_free_pair_priors(self, gauss):
         kw = dict(s_domain=(0.1, 0.6), n=50, theta0=0.0)
         free = mx.three_point_bound(gauss, **kw)
         half = mx.three_point_bound(gauss, inner_prior="half", **kw)
@@ -210,6 +200,17 @@ class TestThreePoint:
         assert free.reevaluate() == free.value
         assert 0.0 <= free.argmax["u"] <= 1.0 and 0.0 <= free.argmax["v"] <= 1.0
         assert free.rate is None
+
+    def test_finite_sample_min_form_reaches_the_supremum(self, uniform_scale):
+        # with w = 0 the pair 25 - delta, 25 has G(x, y) = min{x, alpha y},
+        # alpha = 1 - delta/25, so the bound is the sup over delta of
+        # delta^2 alpha / (1 + sqrt(alpha))^2.  With s = sqrt(alpha) that is
+        # 625 s^2 (1 - s)^2, whose maximum 625/16 sits at s = 1/2.  A search
+        # that ranked the rows by coarse splits left it 2e-7 short.
+        rep = mx.three_point_bound(uniform_scale, s_domain=(0, 20), n=1,
+                                   theta0=25.0, w_zero=True)
+        assert abs(rep.value - 625.0 / 16.0) <= 1e-12 * 625.0 / 16.0
+        assert rep.reevaluate() == rep.value
 
     def test_rejects_unknown_prior_mode(self, gauss):
         with pytest.raises(ValueError):
@@ -494,24 +495,57 @@ _SPLIT_MASSES = np.array([[0.3, 0.7], [0.5, 0.5], [1.0, 1e-12], [1e-12, 1.0],
                           [0.0, 0.4], [0.4, 0.0], [0.0, 0.0], [2e-3, 0.9]])
 
 
+# test points (theta0, theta1, n) of the registry oracles: both orderings
+# and coincident points
+_ORACLE_PAIRS = {
+    "gauss-location": [(0.0, 0.3, 1), (0.3, 0.0, 4), (1.0, 1.0, 2),
+                       (-1.0, 2.0, 1)],
+    "uniform-scale": [(1.0, 1.3, 1), (1.3, 1.0, 3), (2.0, 2.0, 1),
+                      (25.0, 45.0, 1)],
+    "uniform-location": [(0.0, 0.3, 1), (0.3, 0.0, 4), (1.0, 1.0, 2),
+                         (0.0, 0.99, 1)],
+    "exp-rate": [(1.0, 2.0, 1), (2.0, 1.0, 1), (1.0, 1.0, 1), (0.1, 30.0, 1),
+                 (5.0, 5.0001, 1)],
+}
+
+
+def _assert_split_maximum(pe, split):
+    """split(a, b) -> (u, value) attains the maximum over u of
+    G((1-u)a, u*b) on the masses _SPLIT_MASSES."""
+    a, b = _SPLIT_MASSES[:, 0], _SPLIT_MASSES[:, 1]
+    u, value = split(a, b)
+    grid = np.linspace(0.0, 1.0, 2001)[:, None]
+    on_grid = bounds._pair_risk(pe, (1.0 - grid) * a, grid * b)
+    assert np.all(value >= on_grid.max(axis=0) - 1e-12)
+    assert np.all(np.abs(value - bounds._pair_risk(pe, (1.0 - u) * a, u * b))
+                  <= 1e-12)
+    assert np.all(value[a * b == 0.0] == 0.0)
+    assert np.all((u >= 0.0) & (u <= 1.0))
+
+
 class TestPairSplit:
     @pytest.mark.parametrize("model_id", _LIMIT_IDS)
     @pytest.mark.parametrize("delta", [1e-9, 0.4, 2.5, 12.0])
     def test_attains_the_split_maximum(self, model_id, delta):
         lim = models.get_model(model_id).limit
+        _assert_split_maximum(
+            lambda c: lim.pe_pair(1.0, delta, c),
+            lambda a, b: lim.pair_split(1.0, delta, a, b))
 
-        def pe(c):
-            return lim.pe_pair(1.0, delta, c)
+    @pytest.mark.parametrize("model_id", list(_ORACLE_PAIRS))
+    def test_oracle_attains_the_split_maximum(self, model_id):
+        oracle = models.get_model(model_id).oracle
+        for theta0, theta1, n in _ORACLE_PAIRS[model_id]:
+            _assert_split_maximum(
+                lambda c: oracle.pe(c, theta0, theta1, n),
+                lambda a, b: oracle.pair_split(a, b, theta0, theta1, n))
 
-        a, b = _SPLIT_MASSES[:, 0], _SPLIT_MASSES[:, 1]
-        u, value = lim.pair_split(1.0, delta, a, b)
-        grid = np.linspace(0.0, 1.0, 2001)[:, None]
-        on_grid = bounds._pair_risk(pe, (1.0 - grid) * a, grid * b)
-        assert np.all(value >= on_grid.max(axis=0) - 1e-12)
-        assert np.all(np.abs(value - bounds._pair_risk(pe, (1.0 - u) * a, u * b))
-                      <= 1e-12)
-        assert np.all(value[a * b == 0.0] == 0.0)
-        assert np.all((u >= 0.0) & (u <= 1.0))
+    def test_oracle_split_validates_like_the_oracle(self):
+        with pytest.raises(ValueError):
+            models.get_model("exp-rate").oracle.pair_split(0.5, 0.5, 1.0, 2.0, 2)
+        with pytest.raises(ValueError):
+            models.get_model("uniform-location").oracle.pair_split(
+                0.5, 0.5, 0.0, 1.5, 1)
 
     def test_min_form_closed_form(self):
         a = np.array([0.3, 0.5])
@@ -589,6 +623,35 @@ class TestNestedInnerSolves:
         assert rep.value >= ref * (1.0 - 1e-12)
         assert rep.reevaluate() == rep.value
 
+    @pytest.mark.parametrize("finite", [False, True], ids=["limit", "oracle"])
+    def test_a_source_without_a_split_has_it_searched(self, finite,
+                                                      monkeypatch):
+        # a user-built limit or oracle without pair_split: the three-point
+        # engine searches each pair split row by row, the moment engine the
+        # (q, r) box; both land on the exact splits' values
+        model = models.get_model("uniform-scale")
+        if finite:
+            bare = dataclasses.replace(
+                model, oracle=models.BinaryErrorOracle(model.oracle.pe))
+            kw = dict(n=3, theta0=2.0)
+        else:
+            bare = dataclasses.replace(model, limit=dataclasses.replace(
+                model.limit, pair_split=None))
+            kw = {}
+        searches = {"_rowwise_max_01": 0, "_max_box2": 0}
+        for name in searches:
+            def counted(*args, _name=name, _fn=getattr(bounds, name)):
+                searches[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(bounds, name, counted)
+        monkeypatch.setattr(bounds, "maximize_1d", _at_spacing(0.9))
+        for bound in (mx.three_point_bound,
+                      lambda m, **k: mx.moment_two_point_bound(m, 2.0, **k)):
+            exact, searched = bound(model, **kw), bound(bare, **kw)
+            assert searched.reevaluate() == searched.value
+            assert abs(searched.value - exact.value) <= 1e-9 * exact.value
+        assert searches["_rowwise_max_01"] > 0 and searches["_max_box2"] > 0
+
     @pytest.mark.parametrize("model_id", ["gauss-location", "uniform-scale",
                                           "awgn-rect"])
     @pytest.mark.parametrize("w_zero", [False, True], ids=["w", "w_zero"])
@@ -608,13 +671,18 @@ class TestNestedInnerSolves:
         assert np.allclose([rep.argmax[k] for k in "qrw"], row,
                            rtol=0.0, atol=1e-8)
 
-        # given a right-flank error of its own, the engine searches the
-        # simplex at every spacing, as it does at finite sample size
-        def pe(delta, c):
-            return model.limit.pe_pair(1.0, delta, c)
+        # a right-flank error one part in 2^50 off the left one sends the
+        # engine to its simplex search at every spacing, as it does at
+        # finite sample size when the flanks differ
+        def pe(lo, hi, c):
+            scale = 1.0 - 2.0 ** -50 if lo == 0.0 else 1.0
+            return scale * model.limit.pe_pair(1.0, hi - lo, c)
+
+        def split(lo, hi, a, b):
+            return model.limit.pair_split(1.0, hi - lo, a, b)
 
         argmax, objective = bounds._three_point_engine(
-            pe, pe, None, bounds._as_domain(None), "half", w_zero)
+            pe, split, bounds._as_domain(None), "half", w_zero)
         searched = objective(**argmax)
         assert abs(rep.value - searched) <= 1e-12 * searched
 

@@ -119,6 +119,29 @@ class TestCompute:
         value = json.loads(out)["value"]
         assert abs(value - 0.5 * math.erfc(0.5 / math.sqrt(2.0))) < 0.015
 
+    def test_sample_size_runs_the_nested_bounds_on_the_oracle(self, capsys):
+        # at n = 50 the Gaussian oracle is the local limit with spacings
+        # shrunk by sqrt(50), so the moment bound is the local value / 50
+        values = {}
+        for bound in ("moment", "three-point"):
+            rc, out, _ = run_cli(capsys, "compute", "--model",
+                                 "gauss-location", "--bound", bound, "--n",
+                                 "50", "--theta0", "0", "--format", "json")
+            assert rc == 0
+            payload = json.loads(out)
+            assert payload["rate"] is None
+            values[bound] = payload["value"]
+        assert abs(values["moment"]
+                   - oracles.FROZEN["gauss_local_mse"] / 50.0) < 1e-9
+        assert values["three-point"] > values["moment"]
+
+    @pytest.mark.parametrize("bound", ["moment", "three-point"])
+    def test_sample_size_needs_theta0(self, capsys, bound):
+        rc, _, err = run_cli(capsys, "compute", "--model", "gauss-location",
+                             "--bound", bound, "--n", "50")
+        assert rc == 2
+        assert "needs theta0" in err
+
     def test_param_passthrough(self, capsys):
         rc, out, _ = run_cli(capsys, "compute", "--model", "uniform-scale",
                              "--bound", "local-two-point", "--param",

@@ -283,6 +283,16 @@ class TestMonteCarlo:
                                     0.5, 0.0, 0.25, 2, 100_000, 7)
         assert abs(est.estimate - 0.75 ** 2 * 0.5) <= 3.0 * est.half_width
 
+    def test_half_width_stays_positive_without_errors(self):
+        # the MAP rule never errs on means 10 noise units apart at 10^5
+        # trials; the Wilson interval is still [0, 3.84e-5]
+        est = models.monte_carlo_pe(models.GaussianLocationSampler(1.0),
+                                    0.5, 0.0, 10.0, 1, 100_000, 271828)
+        assert est.estimate == 0.0
+        assert est.half_width > 0.0
+        z2 = 1.96 ** 2
+        assert abs(est.half_width - z2 / (100_000 + z2)) <= 1e-18
+
     def test_reproducible(self):
         args = (models.GaussianLocationSampler(1.0), 0.4, 0.0, 0.8, 4)
         a = models.monte_carlo_pe(*args, 20_000, 99)
