@@ -321,6 +321,41 @@ def _nested_max(inner, domain: Interval):
 # ---------------------------------------------------------------------------
 # two-point bounds at finite sample size
 
+def _best_prior(oracle, theta0, theta1, n: int, alpha: float,
+                objective) -> float:
+    """The prior q that maximizes objective(q), pe(q, theta0, theta1, n) /
+    (alpha*q + (1-alpha)*(1-q)) up to a factor, 0 < alpha <= 1.  With masses
+    a = 1 - alpha, b = alpha and q = (1-u)a / ((1-u)a + u*b) it is
+    G((1-u)a, u*b) / (alpha*(1-alpha)), so the pair split of (a, b) solves
+    it, searched where the oracle has none.  u is exact to rounding only,
+    and a min-form pair error falls steeply on one side of its kink at the
+    split, so the best prior of u and u -+ 2^-51 is kept."""
+    a, b = 1.0 - alpha, alpha
+    if oracle.pair_split is None:
+        u = _searched_split(lambda lo, hi, c: oracle.pe(c, lo, hi, n))(
+            theta0, theta1, a, b)[0]
+    else:
+        u = oracle.pair_split(a, b, theta0, theta1, n)[0]
+    u, step = float(u), 2.0 ** -51
+    return max(((1.0 - v) * a / ((1.0 - v) * a + v * b)
+                for v in (u, max(u - step, 0.0), min(u + step, 1.0))),
+               key=objective)
+
+
+def _two_point(model: Model, loss: LossSpec, theta0, theta1, n: int,
+               bound_id: str, rho: float) -> BoundReport:
+    """value = rho * max_q P_e(q, theta0, theta1), q from the pair split."""
+    oracle = _require_oracle(model)
+
+    def objective(q: float) -> float:
+        return rho * float(oracle.pe(q, theta0, theta1, n))
+
+    q_star = _best_prior(oracle, theta0, theta1, n, 0.5, objective)
+    return BoundReport(bound_id=bound_id, model_id=model.id,
+                       value=objective(q_star), loss=loss,
+                       argmax={"q": q_star}, objective=objective)
+
+
 def two_point_bound(model: Model, loss: LossSpec, theta0, theta1,
                     n: int = 1) -> BoundReport:
     """Two test points, convex symmetric loss.
@@ -329,20 +364,11 @@ def two_point_bound(model: Model, loss: LossSpec, theta0, theta1,
     the estimator cannot be closer than half the spacing to both points at
     once, which costs rho(spacing/2) whenever the MAP test errs.
     """
-    oracle = _require_oracle(model)
     if not (loss.convex and loss.symmetric):
         raise ValueError("two_point_bound needs a convex symmetric loss; "
                          "use concave_two_point_bound instead")
-    rho_half = eval_rho(loss, _separation(theta0, theta1) / 2.0)
-
-    def objective(q: float) -> float:
-        return 2.0 * rho_half * float(oracle.pe(q, theta0, theta1, n))
-
-    opt = maximize_1d(objective, (0.0, 1.0))
-    q_star = opt.argmax[0]
-    return BoundReport(bound_id="two-point", model_id=model.id,
-                       value=objective(q_star), loss=loss,
-                       argmax={"q": q_star}, objective=objective)
+    return _two_point(model, loss, theta0, theta1, n, "two-point",
+                      2.0 * eval_rho(loss, _separation(theta0, theta1) / 2.0))
 
 
 def concave_two_point_bound(model: Model, loss: LossSpec, theta0, theta1,
@@ -353,17 +379,8 @@ def concave_two_point_bound(model: Model, loss: LossSpec, theta0, theta1,
     endpoints, the half-spacing argument is unavailable, but the full-spacing
     one survives: value = max_q rho(theta1 - theta0) * P_e(q, theta0, theta1).
     """
-    oracle = _require_oracle(model)
-    rho_full = eval_rho(loss, _separation(theta0, theta1))
-
-    def objective(q: float) -> float:
-        return rho_full * float(oracle.pe(q, theta0, theta1, n))
-
-    opt = maximize_1d(objective, (0.0, 1.0))
-    q_star = opt.argmax[0]
-    return BoundReport(bound_id="concave-two-point", model_id=model.id,
-                       value=objective(q_star), loss=loss,
-                       argmax={"q": q_star}, objective=objective)
+    return _two_point(model, loss, theta0, theta1, n, "concave-two-point",
+                      eval_rho(loss, _separation(theta0, theta1)))
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +484,21 @@ def moment_two_point_bound(model: Model, t: float, theta: float = 1.0,
 # ---------------------------------------------------------------------------
 # three-point MSE bounds
 
-# maximizers of the pinned-split simplex factor qr/(q+r) + rw/(r+w)
-_HALF_ROW = (1.0 - math.sqrt(0.5), math.sqrt(2.0) - 1.0, 1.0 - math.sqrt(0.5))
-_HALF_ROW_W_ZERO = (0.5, 0.5, 0.0)
+def _half_row(a: float, b: float, w_zero: bool):
+    """The simplex row (q, r, w) that maximizes the concave factor
+    a*qr/(q+r) + b*rw/(r+w), a, b >= 0, with w = 0 if ``w_zero``.  For
+    1/4 < b/a < 4 it is proportional to (1/alpha - 1, 1, x^2/alpha - 1),
+    x = (b/a)^(1/4) and alpha = 1 + x^2 - sqrt(2)*x (b/a stays finite where
+    a*b underflows); past 1/4 (or 4) it is (1/2, 1/2, 0) (or (0, 1/2, 1/2))."""
+    if w_zero or a >= 4.0 * b:
+        return 0.5, 0.5, 0.0
+    if b >= 4.0 * a:
+        return 0.0, 0.5, 0.5
+    x2 = math.sqrt(b / a)
+    alpha = 1.0 + x2 - math.sqrt(2.0 * x2)
+    q, w = 1.0 / alpha - 1.0, x2 / alpha - 1.0
+    total = q + 1.0 + w
+    return q / total, 1.0 / total, w / total
 
 
 def _three_point_engine(pe, split, domain: Interval, inner_prior: str,
@@ -484,15 +513,10 @@ def _three_point_engine(pe, split, domain: Interval, inner_prior: str,
     pe(lo, hi, c) is the error of the pair at offsets lo < hi with prior c on
     lo, and split(lo, hi, a, b) that pair's best free split of the masses a
     (on lo) and b, as LocalErrorLimit.pair_split.  Free mode scores each
-    simplex row by the two splits.
-
-    Pinned splits give both masses of a pair the same value, so the objective
-    is delta^2 * (pe_l qr/(q+r) + pe_r rw/(r+w)), pe_l and pe_r twice the
-    flank errors at prior 1/2.  Where they are equal (always in the local
-    limit) the factor qr/(q+r) + rw/(r+w) is concave, symmetric in q <-> w
-    and free of delta: its maximizer q = w = 1 - 1/sqrt(2), r = sqrt(2) - 1
-    (value 6 - 4 sqrt(2)), or q = r = 1/2 with w pinned to 0 (value 1/4),
-    replaces the simplex search.
+    simplex row by the two splits, so it searches delta and the row but no
+    pair prior.  Pinned splits make the objective delta^2 * (A qr/(q+r) +
+    B rw/(r+w)), A and B twice the flank errors at prior 1/2, whose best row
+    _half_row solves: half mode searches delta alone.
     """
 
     def objective(delta, q, r, w, u, v):
@@ -500,46 +524,27 @@ def _three_point_engine(pe, split, domain: Interval, inner_prior: str,
             _pair_risk(lambda c: pe(-delta, 0.0, c), (1.0 - u) * q, u * r)
             + _pair_risk(lambda c: pe(0.0, delta, c), v * r, (1.0 - v) * w)))
 
-    def pinned_mass(x, y):
-        """x*y/(x+y): the mass on each point of a pair split the pinned way."""
-        total = x + y
-        return np.where(total > 0.0, x * y / np.where(total > 0.0, total, 1.0), 0.0)
-
-    def search(batch):
-        """The simplex row (q, r, w) that maximizes batch."""
-        if w_zero:
-            opt = maximize_simplex(
-                lambda rows2: batch(np.column_stack(
-                    [rows2[:, 0], rows2[:, 1], np.zeros(len(rows2))])),
-                dim=2, vectorized=True)
-            return opt.argmax[0], opt.argmax[1], 0.0
-        return maximize_simplex(batch, dim=3, vectorized=True).argmax
-
     def inner(delta: float):
-        """Maximize over the simplex (and u, v); returns argmax and value."""
+        """The best simplex row and pair splits at delta, and their value."""
         if inner_prior == "half":
             pe_l = 2.0 * float(pe(-delta, 0.0, 0.5))
             pe_r = 2.0 * float(pe(0.0, delta, 0.5))
-
-            def batch(rows: np.ndarray) -> np.ndarray:
-                q, r, w = rows[:, 0], rows[:, 1], rows[:, 2]
-                return delta ** 2 * (pe_l * pinned_mass(q, r)
-                                     + pe_r * pinned_mass(r, w))
-
-            if pe_l == pe_r:
-                q, r, w = _HALF_ROW_W_ZERO if w_zero else _HALF_ROW
-            else:
-                q, r, w = search(batch)
-            u = float(q / (q + r)) if q + r > 0.0 else 0.5
-            v = float(w / (r + w)) if r + w > 0.0 else 0.5
-            return (q, r, w, u, v), float(batch(np.array([[q, r, w]]))[0])
+            q, r, w = _half_row(pe_l, pe_r, w_zero)
+            u, v = q / (q + r), w / (r + w)
+            return (q, r, w, u, v), delta ** 2 * r * (pe_l * u + pe_r * v)
 
         def batch(rows: np.ndarray) -> np.ndarray:
             q, r, w = rows[:, 0], rows[:, 1], rows[:, 2]
             return delta ** 2 * (split(-delta, 0.0, q, r)[1]
                                  + split(0.0, delta, r, w)[1])
 
-        q, r, w = search(batch)
+        if w_zero:
+            opt = maximize_simplex(
+                lambda x: batch(np.column_stack([x, np.zeros(len(x))])),
+                dim=2, vectorized=True)
+            q, r, w = (*opt.argmax, 0.0)
+        else:
+            q, r, w = maximize_simplex(batch, dim=3, vectorized=True).argmax
         # the right pair is G(v*r, (1-v)*w): v is one minus the split of (r, w)
         u = float(split(-delta, 0.0, q, r)[0])
         v = 1.0 - float(split(0.0, delta, r, w)[0])
@@ -678,7 +683,8 @@ def transform_two_point_bound(model: Model, loss: LossSpec,
             * P_e(q, vartheta0, vartheta1) / (1 - alpha - q + 2*alpha*q).
 
     With m even, alpha = 1/2 and T_0 the identity this is exactly the plain
-    two-point bound.  q = None maximizes over the prior.
+    two-point bound.  q = None maximizes over the prior, which the pair
+    split solves.
     """
     oracle = _require_oracle(model)
     m = transforms.m
@@ -698,16 +704,15 @@ def transform_two_point_bound(model: Model, loss: LossSpec,
         return rho_val * pe / denom
 
     if q is None:
-        opt = maximize_1d(objective, (0.0, 1.0))
-        q_star = opt.argmax[0]
-    else:
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("prior must lie in [0, 1]")
-        q_star = float(q)
+        q = _best_prior(oracle, vartheta0, vartheta1, n, alpha_frac,
+                        objective)
+    elif not 0.0 <= q <= 1.0:
+        raise ValueError("prior must lie in [0, 1]")
     notes = (f"m={m}, k={k}, alpha_frac={alpha_frac:g}",)
     return BoundReport(bound_id="transform", model_id=model.id,
-                       value=objective(q_star), loss=loss,
-                       argmax={"q": q_star}, notes=notes, objective=objective)
+                       value=objective(float(q)), loss=loss,
+                       argmax={"q": float(q)}, notes=notes,
+                       objective=objective)
 
 
 _SQRT3 = math.sqrt(3.0)

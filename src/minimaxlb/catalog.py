@@ -136,6 +136,19 @@ def parse_manifest(text: str) -> list:
     return entries
 
 
+# yes/no words; the manifest and --param hand 1 and 0 over as 1.0 and 0.0
+_FLAGS = {"1": True, "1.0": True, "true": True, "yes": True,
+          "0": False, "0.0": False, "false": False, "no": False}
+
+
+def _flag(params: dict, key: str) -> bool:
+    text = str(params.get(key, False)).strip().lower()
+    if text not in _FLAGS:
+        raise ValueError(f"{key} must be 1/0, true/false or yes/no, "
+                         f"got {text!r}")
+    return _FLAGS[text]
+
+
 def _s_domain(params: dict):
     smax = params.get("smax")
     return None if smax is None else Interval(0.0, float(smax))
@@ -189,7 +202,7 @@ def compute_bound(model_id: str, bound_id: str, loss: LossSpec, params: dict,
         return bounds.three_point_bound(
             model, theta, _s_domain(params),
             inner_prior=str(params.get("inner", "free")),
-            w_zero=bool(params.get("w_zero", False)), **finite)
+            w_zero=_flag(params, "w_zero"), **finite)
 
     if bound_id == "three-point-exact":
         if model_id != "uniform-scale":

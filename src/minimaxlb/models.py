@@ -15,16 +15,16 @@ The local limit carries three views of the same object:
     pe_inf_halfprior(theta,s) same with q frozen at 1/2
     pe_pair(theta, delta, q)  limit of pe(q, theta, theta + delta*xi)
 
-pe_pair is the primitive: the multi-point engines weight pairs of test points
-with priors that are themselves being optimized, so they need the fixed-prior
-limit, not only the q-maximized one.  pair_split(theta, delta, a, b) solves
-their inner problem exactly: the best split of two prior masses a and b.
-
-Both sources of pair errors carry such a split.  With G(x, y) = (x+y) *
-pe(x/(x+y)) the Bayes error of a pair with prior masses x and y, a split
-returns (u, value): value is the maximum over u in [0, 1] of
-G((1-u)*a, u*b) and u the split that attains it, elementwise over the
-masses a, b >= 0, with value 0 where a or b is 0.
+pe_pair is the primitive of the multi-point engines, which weight pairs of
+test points with priors of their own.  Both sources of pair errors also
+carry a pair split: with G(x, y) = (x+y) * pe(x/(x+y)) the Bayes error of a
+pair with prior masses x and y, it returns (u, value), value the maximum
+over u in [0, 1] of G((1-u)*a, u*b) and u the split that attains it,
+elementwise over the masses a, b >= 0 (value 0 where a or b is 0).  It
+solves every prior the engines need: the two-point and transform priors
+split two fixed masses, and the nested engines split each flank pair of a
+simplex row (the pinned three-point row is in closed form).  The four
+Gaussian-type limits share one builder: their pe_inf is pe_pair at 1/2.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def binary_gaussian_error(q, d):
     """
     q = np.asarray(q, dtype=float)
     d = float(d)
-    if d < 0:
+    if not d >= 0:
         raise ValueError("distance must be nonnegative")
     if d == 0.0:
         out = np.minimum(q, 1.0 - q)
@@ -190,7 +190,7 @@ def binary_gaussian_split(a, b, d):
     G(x, y) = min{x, y}.  Value 0 (and u = 1/2) where a or b is 0.
     """
     d = float(d)
-    if d < 0:
+    if not d >= 0:
         raise ValueError("distance must be nonnegative")
     if d == 0.0:
         return _min_form_split(1.0, 1.0, a, b)
@@ -355,9 +355,15 @@ def _gaussian_distance(theta0, theta1, n: int, sigma: float) -> float:
 # ---------------------------------------------------------------------------
 # local limits
 
-def _gaussian_pair(dist):
-    """pe_pair and pair_split of a limit whose test points delta apart act
-    as two unit-variance Gaussians dist(theta, delta) apart."""
+def _gaussian_limit(dist, rate: RatePower) -> LocalErrorLimit:
+    """The local limit whose test points delta apart act as two
+    unit-variance Gaussians dist(theta, delta) apart (dist vectorized over
+    delta).  The pair error is symmetric in the prior, so the optimal prior
+    is 1/2 and pe_inf = pe_inf_halfprior = Q(dist(theta, 2s)/2)."""
+
+    def pe_inf(theta, s):
+        spacing = 2.0 * np.asarray(s, dtype=float)
+        return gaussian_tail(dist(theta, spacing) / 2.0)
 
     def pe_pair(theta, delta, q):
         return binary_gaussian_error(q, dist(theta, delta))
@@ -365,7 +371,8 @@ def _gaussian_pair(dist):
     def pair_split(theta, delta, a, b):
         return binary_gaussian_split(a, b, dist(theta, delta))
 
-    return pe_pair, pair_split
+    return LocalErrorLimit(pe_inf=pe_inf, rate=rate, pe_inf_halfprior=pe_inf,
+                           pe_pair=pe_pair, pair_split=pair_split)
 
 
 def gaussian_location_limit(sigma: float) -> LocalErrorLimit:
@@ -373,14 +380,9 @@ def gaussian_location_limit(sigma: float) -> LocalErrorLimit:
     pe_inf(theta, s) = Q(s/sigma), optimal prior identically 1/2."""
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    rate = RatePower(0.5, 1.0, "n")
-
-    def pe_inf(theta, s):
-        return gaussian_tail(np.asarray(s, dtype=float) / sigma)
-
-    pe_pair, pair_split = _gaussian_pair(lambda theta, delta: float(delta) / sigma)
-    return LocalErrorLimit(pe_inf=pe_inf, rate=rate, pe_inf_halfprior=pe_inf,
-                           pe_pair=pe_pair, pair_split=pair_split)
+    return _gaussian_limit(
+        lambda theta, delta: delta / sigma,
+        RatePower(0.5, 1.0, "n"))
 
 
 def uniform_scale_limit() -> LocalErrorLimit:
@@ -455,32 +457,18 @@ def awgn_signal_limit(kind: str, *, pdot: float = None, n0: float = None,
         if pdot is None or n0 is None or not (pdot > 0 and n0 > 0):
             raise ValueError("smooth kind needs pdot > 0 and n0 > 0")
         coef = math.sqrt(2.0 * pdot / n0)
-        rate = RatePower(0.5, 1.0, "T")
-
-        def pe_inf(theta, s):
-            return gaussian_tail(coef * np.asarray(s, dtype=float))
-
-        pe_pair, pair_split = _gaussian_pair(
-            lambda theta, delta: coef * float(delta))
-        return LocalErrorLimit(pe_inf=pe_inf, rate=rate,
-                               pe_inf_halfprior=pe_inf, pe_pair=pe_pair,
-                               pair_split=pair_split)
+        return _gaussian_limit(
+            lambda theta, delta: coef * delta,
+            RatePower(0.5, 1.0, "T"))
 
     if kind == "rect":
         if power is None or n0 is None or pulse_width is None or \
                 not (power > 0 and n0 > 0 and pulse_width > 0):
             raise ValueError("rect kind needs power, n0, pulse_width all > 0")
         scale = power / (n0 * pulse_width)
-        rate = RatePower(1.0, 2.0, "T")
-
-        def pe_inf(theta, s):
-            return gaussian_tail(np.sqrt(2.0 * scale * np.asarray(s, dtype=float)))
-
-        pe_pair, pair_split = _gaussian_pair(
-            lambda theta, delta: 2.0 * math.sqrt(scale * float(delta)))
-        return LocalErrorLimit(pe_inf=pe_inf, rate=rate,
-                               pe_inf_halfprior=pe_inf, pe_pair=pe_pair,
-                               pair_split=pair_split)
+        return _gaussian_limit(
+            lambda theta, delta: 2.0 * np.sqrt(scale * delta),
+            RatePower(1.0, 2.0, "T"))
 
     raise ValueError(f"unknown waveform kind: {kind!r}")
 
@@ -488,21 +476,14 @@ def awgn_signal_limit(kind: str, *, pdot: float = None, n0: float = None,
 def exp_family_limit(fisher: Callable[[float], float]) -> LocalErrorLimit:
     """Local limit for a smooth exponential family with Fisher information
     fisher(theta): xi = n^(-1/2), pe_inf(theta, s) = Q(s * sqrt(fisher(theta)))."""
-    rate = RatePower(0.5, 1.0, "n")
 
-    def _info(theta) -> float:
+    def dist(theta, delta):
         info = float(fisher(float(theta)))
         if not info > 0:
             raise ValueError("Fisher information must be positive")
-        return info
+        return delta * math.sqrt(info)
 
-    def pe_inf(theta, s):
-        return gaussian_tail(np.asarray(s, dtype=float) * math.sqrt(_info(theta)))
-
-    pe_pair, pair_split = _gaussian_pair(
-        lambda theta, delta: float(delta) * math.sqrt(_info(theta)))
-    return LocalErrorLimit(pe_inf=pe_inf, rate=rate, pe_inf_halfprior=pe_inf,
-                           pe_pair=pe_pair, pair_split=pair_split)
+    return _gaussian_limit(dist, RatePower(0.5, 1.0, "n"))
 
 
 def fisher_from_log_partition(log_z: Callable[[float], float], theta: float,
@@ -709,9 +690,6 @@ def _make_uniform_location() -> Model:
 
 
 def _make_gauss_location(sigma: float = 1.0) -> Model:
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-
     # already symmetric: both depend on the separation only, and the pair
     # error is symmetric in q <-> 1-q, so G(x, y) = G(y, x)
     def pe(q, theta0, theta1, n):

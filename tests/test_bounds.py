@@ -8,10 +8,16 @@ import pytest
 
 import oracles
 import minimaxlb as mx
-from minimaxlb import bounds, models
+from minimaxlb import bounds, catalog, models
 from minimaxlb.loss import LossSpec
 from minimaxlb.numerics import (Interval, OptResult, gaussian_tail,
                                 maximize_simplex)
+
+
+# four scalar maps, two identities and two negations: with k of them on the
+# first point the prior weight alpha = k/4 takes the values 1/4, 1/2, 3/4
+_QUAD = mx.TransformSet(tuple(np.array([[x]])
+                              for x in (1.0, 1.0, -1.0, -1.0)))
 
 
 class TestTwoPoint:
@@ -31,6 +37,22 @@ class TestTwoPoint:
     def test_coincident_points_give_zero(self, gauss):
         rep = mx.two_point_bound(gauss, LossSpec.mse(), 1.0, 1.0)
         assert rep.value == 0.0
+
+    @pytest.mark.parametrize("theta0,theta1,n", [
+        (1.0, 1.5, 3), (1.0, 2.0, 1), (2.0, 2.1, 40), (1.0, 1.5, 40),
+        (1.0, 3.2, 40)])
+    def test_uniform_scale_reaches_the_kink(self, uniform_scale, theta0,
+                                            theta1, n):
+        # pe = min{q, (1-q)A} with A = (theta0/theta1)^n peaks at the kink
+        # q = A/(1+A); a search over q stopped up to 1.7e-11 short of it.
+        # At A = 6e-21 the split's u = 1/(1+A) rounds to 1, and q = 1 - u
+        # alone would give 0.
+        rep = mx.two_point_bound(uniform_scale, LossSpec.mse(), theta0, theta1,
+                                 n)
+        ratio = (theta0 / theta1) ** n
+        expect = 2.0 * ((theta1 - theta0) / 2.0) ** 2 * ratio / (1.0 + ratio)
+        assert abs(rep.value - expect) <= 1e-14 * expect
+        assert rep.reevaluate() == rep.value
 
     def test_rejects_nonconvex_loss(self, gauss):
         crooked = LossSpec.custom(lambda e: math.sqrt(abs(e)), convex=False,
@@ -294,6 +316,22 @@ class TestTransformTwoPoint:
             gauss, LossSpec.mse(), ts,
             np.array([0.0, 0.0]), np.array([0.1, 0.0]), 1)
         assert abs(rep.value - ref) < 1e-10
+
+    @pytest.mark.parametrize("model_id,theta0,theta1,n", [
+        ("exp-rate", 1.0, 2.0, 1), ("gauss-location", 0.0, 0.3, 5),
+        ("uniform-scale", 1.0, 1.5, 3), ("uniform-location", 0.0, 0.4, 2)])
+    def test_split_prior_tops_a_scan(self, model_id, theta0, theta1, n):
+        # k of m maps on theta0 weight the prior by alpha = k/m; the pair
+        # split's prior must do at least as well as a fine scan over q
+        model = models.get_model(model_id)
+        grid = np.linspace(0.0, 1.0, 4097)
+        for ts, k in ((mx.TransformSet.sign_pair(), 1), (_QUAD, 1), (_QUAD, 2),
+                      (_QUAD, 3)):
+            rep = mx.transform_two_point_bound(model, LossSpec.mse(), ts,
+                                               theta0, theta1, k, n=n)
+            scan = max(rep.objective(float(q)) for q in grid)
+            assert rep.value >= scan * (1.0 - 1e-11), (ts.m, k)
+            assert rep.reevaluate() == rep.value
 
     def test_degenerate_priors_give_zero(self, gauss):
         ts = mx.TransformSet.sign_pair()
@@ -582,13 +620,27 @@ def _at_spacing(delta):
     return outer
 
 
-def _pinned_factor(rows):
-    """qr/(q+r) + rw/(r+w), 0 for a pair without mass."""
+def _pinned_factor(rows, a=1.0, b=1.0):
+    """a*qr/(q+r) + b*rw/(r+w), 0 for a pair without mass."""
     def pinned(x, y):
         total = x + y
         return np.where(total > 0.0, x * y / np.where(total > 0.0, total, 1.0),
                         0.0)
-    return pinned(rows[:, 0], rows[:, 1]) + pinned(rows[:, 1], rows[:, 2])
+    return (a * pinned(rows[:, 0], rows[:, 1])
+            + b * pinned(rows[:, 1], rows[:, 2]))
+
+
+def _pinned_simplex_max(a, b, w_zero):
+    """The simplex search of the pinned factor, w held at 0 if w_zero."""
+    if w_zero:
+        opt = maximize_simplex(
+            lambda rows: _pinned_factor(
+                np.column_stack([rows, np.zeros(len(rows))]), a, b),
+            dim=2, vectorized=True)
+        return (*opt.argmax, 0.0), opt.value
+    opt = maximize_simplex(lambda rows: _pinned_factor(rows, a, b), dim=3,
+                           vectorized=True)
+    return opt.argmax, opt.value
 
 
 class TestNestedInnerSolves:
@@ -645,9 +697,20 @@ class TestNestedInnerSolves:
                 return _fn(*args)
             monkeypatch.setattr(bounds, name, counted)
         monkeypatch.setattr(bounds, "maximize_1d", _at_spacing(0.9))
-        for bound in (mx.three_point_bound,
-                      lambda m, **k: mx.moment_two_point_bound(m, 2.0, **k)):
-            exact, searched = bound(model, **kw), bound(bare, **kw)
+        cases = [mx.three_point_bound,
+                 lambda m, **k: mx.moment_two_point_bound(m, 2.0, **k)]
+        if finite:
+            # the two-point priors are splits of the oracle's pair as well
+            cases += [
+                lambda m, **k: mx.two_point_bound(m, LossSpec.mse(), 2.0, 2.5,
+                                                  n=3),
+                lambda m, **k: mx.transform_two_point_bound(
+                    m, LossSpec.mse(), _QUAD, 2.0, 2.5, 1, n=3)]
+        for bound in cases:
+            exact = bound(model, **kw)
+            before = sum(searches.values())
+            searched = bound(bare, **kw)
+            assert sum(searches.values()) > before
             assert searched.reevaluate() == searched.value
             assert abs(searched.value - exact.value) <= 1e-9 * exact.value
         assert searches["_rowwise_max_01"] > 0 and searches["_max_box2"] > 0
@@ -659,21 +722,21 @@ class TestNestedInnerSolves:
         model = models.get_model(model_id)
         rep = mx.three_point_bound(model, inner_prior="half", w_zero=w_zero)
         assert rep.reevaluate() == rep.value
-
-        if w_zero:
-            opt = maximize_simplex(
-                lambda rows: _pinned_factor(
-                    np.column_stack([rows, np.zeros(len(rows))])),
-                dim=2, vectorized=True)
-            row = (*opt.argmax, 0.0)
-        else:
-            row = maximize_simplex(_pinned_factor, dim=3, vectorized=True).argmax
+        row, _ = _pinned_simplex_max(1.0, 1.0, w_zero)
         assert np.allclose([rep.argmax[k] for k in "qrw"], row,
                            rtol=0.0, atol=1e-8)
 
-        # a right-flank error one part in 2^50 off the left one sends the
-        # engine to its simplex search at every spacing, as it does at
-        # finite sample size when the flanks differ
+        # flank errors in any ratio b/a, across both kinks at 1/4 and 4:
+        # the closed-form row is never beaten by the simplex search
+        for ratio in (1e-3, 0.1, 0.25, 0.5, 2.0, 4.0, 10.0):
+            a, b = 0.6, 0.6 * ratio
+            row = bounds._half_row(a, b, w_zero)
+            value = _pinned_factor(np.array([row]), a, b)[0]
+            assert value >= _pinned_simplex_max(a, b, w_zero)[1] * (1 - 1e-15)
+
+        # a right-flank error one part in 2^50 off the left one, as at
+        # finite sample size where the two flank separations round apart,
+        # moves the value by rounding only
         def pe(lo, hi, c):
             scale = 1.0 - 2.0 ** -50 if lo == 0.0 else 1.0
             return scale * model.limit.pe_pair(1.0, hi - lo, c)
@@ -683,8 +746,62 @@ class TestNestedInnerSolves:
 
         argmax, objective = bounds._three_point_engine(
             pe, split, bounds._as_domain(None), "half", w_zero)
-        searched = objective(**argmax)
-        assert abs(rep.value - searched) <= 1e-12 * searched
+        assert abs(objective(**argmax) - rep.value) <= 1e-12 * rep.value
+
+    def test_half_row_where_the_flank_product_underflows(self):
+        # a*b is 0 in floating point, but the row is formed from b/a
+        tiny = bounds._half_row(1e-300, 2e-300, False)
+        assert tiny[0] > 0.0 and tiny[2] > 0.0
+        assert abs(sum(tiny) - 1.0) <= 1e-15
+        assert np.allclose(tiny, bounds._half_row(1.0, 2.0, False),
+                           rtol=1e-14, atol=0.0)
+        assert bounds._half_row(0.0, 0.0, False) == (0.5, 0.5, 0.0)
+
+    def test_finite_sample_half_row_needs_no_search(self, gauss, monkeypatch):
+        # at theta0 = 0.3 the two flank separations round apart, so their
+        # errors at prior 1/2 differ in the last bits
+        def no_search(*args, **kwargs):
+            raise AssertionError("half mode searched the simplex")
+
+        monkeypatch.setattr(bounds, "maximize_simplex", no_search)
+        off = mx.three_point_bound(gauss, inner_prior="half", n=50,
+                                   theta0=0.3)
+        at_zero = mx.three_point_bound(gauss, inner_prior="half", n=50,
+                                       theta0=0.0)
+        assert abs(off.value - at_zero.value) <= 1e-14 * at_zero.value
+        assert off.reevaluate() == off.value
+
+    def test_registry_sources_reach_no_searched_split(self, monkeypatch):
+        # every registry oracle and limit carries its split, so neither
+        # split-less fallback runs, on the manifest or at finite sample size
+        def fallback(*args, **kwargs):
+            raise AssertionError("a registry source reached a searched split")
+
+        for name in ("_rowwise_max_01", "_max_box2"):
+            monkeypatch.setattr(bounds, name, fallback)
+        entries = catalog.run_entries(
+            catalog.parse_manifest(catalog.DEFAULT_MANIFEST))
+        assert all(e.passed for e in entries), [e.message for e in entries]
+
+        mse = LossSpec.mse()
+        for model_id, t0, t1, n, three_point in [
+                ("exp-rate", 1.0, 2.0, 1,
+                 dict(theta0=5.0, s_domain=(0.0, 4.0))),
+                ("gauss-location", 0.0, 0.3, 5, dict(theta0=0.3)),
+                ("uniform-scale", 1.0, 1.5, 3, dict(theta0=25.0)),
+                ("uniform-location", 0.0, 0.4, 2,
+                 dict(theta0=0.0, s_domain=(0.0, 0.9)))]:
+            model = models.get_model(model_id)
+            reports = [
+                mx.two_point_bound(model, mse, t0, t1, n),
+                mx.concave_two_point_bound(model, mse, t0, t1, n),
+                mx.transform_two_point_bound(
+                    model, mse, mx.TransformSet.sign_pair(), t0, t1, 1, n=n)]
+            reports += [mx.three_point_bound(model, inner_prior=inner, n=n,
+                                             **three_point)
+                        for inner in ("free", "half")]
+            for rep in reports:
+                assert rep.value > 0.0 and rep.reevaluate() == rep.value
 
 
 class TestBoundReport:

@@ -150,6 +150,25 @@ class TestCompute:
         assert abs(json.loads(out)["value"]
                    - oracles.FROZEN["uniform_scale_local_mse_half"]) < 1e-8
 
+    @pytest.mark.parametrize("text,pinned", [("false", False), ("No", False),
+                                             ("0", False), ("TRUE", True),
+                                             ("yes", True), ("1", True)])
+    def test_w_zero_reads_yes_and_no(self, capsys, text, pinned):
+        rc, out, _ = run_cli(capsys, "compute", "--model", "gauss-location",
+                             "--bound", "three-point", "--param", "inner=half",
+                             "--param", f"w_zero={text}", "--format", "json")
+        assert rc == 0
+        payload = json.loads(out)
+        assert any("pinned" in note for note in payload["notes"]) == pinned
+        assert (payload["argmax"]["w"] == 0.0) == pinned
+
+    def test_w_zero_rejects_other_words(self, capsys):
+        rc, _, err = run_cli(capsys, "compute", "--model", "gauss-location",
+                             "--bound", "three-point", "--param", "inner=half",
+                             "--param", "w_zero=maybe")
+        assert rc == 2
+        assert "w_zero" in err
+
     def test_unknown_model(self, capsys):
         rc, _, err = run_cli(capsys, "compute", "--model", "bogus",
                              "--bound", "local-two-point")

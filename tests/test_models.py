@@ -185,6 +185,29 @@ class TestLocalLimits:
         assert abs(rect.pe_inf(0.0, 2.0) - gaussian_tail(2.0)) < 1e-14
         assert rect.rate.zeta_exponent == 2.0
 
+    def test_gaussian_type_limits_share_one_error_curve(self):
+        # pe_inf = pe_inf_halfprior = Q(dist(theta, 2s)/2) reproduces each
+        # limit's own closed form bit for bit
+        s = np.linspace(0.0, 20.0, 10001)
+        scale = 1.1 / (0.9 * 0.3)
+        cases = [
+            (models.gaussian_location_limit(0.7), s / 0.7),
+            (models.awgn_signal_limit("smooth", pdot=1.3, n0=0.4),
+             math.sqrt(2.0 * 1.3 / 0.4) * s),
+            (models.awgn_signal_limit("rect", power=1.1, n0=0.9,
+                                      pulse_width=0.3),
+             np.sqrt(2.0 * scale * s)),
+            (models.exp_family_limit(lambda theta: 1.7 + theta * theta),
+             s * math.sqrt(1.7 + 1.3 * 1.3))]
+        for lim, arg in cases:
+            assert lim.pe_inf_halfprior is lim.pe_inf
+            assert np.array_equal(lim.pe_inf(1.3, s), gaussian_tail(arg))
+            assert lim.pe_inf(1.3, 2.5) == gaussian_tail(arg[1250])
+            # a negative spacing is a NaN distance for awgn-rect
+            with pytest.raises(ValueError, match="nonnegative"), \
+                    np.errstate(invalid="ignore"):
+                lim.pe_pair(1.3, -0.5, 0.5)
+
     def test_awgn_unknown_kind(self):
         with pytest.raises(ValueError):
             models.awgn_signal_limit(kind="triangular")
