@@ -205,22 +205,20 @@ def _pair_risk(pe, a, b):
     return np.where(safe, mass * np.asarray(pe(c), dtype=float), 0.0)
 
 
-def _vec_max_01(fvec, grid: int = 1025):
-    """Maximize a vectorized scalar function on [0, 1] by scan plus zoom;
-    returns (argmax, value)."""
+def _vec_max_01(fvec):
+    """Maximize a vectorized scalar function on [0, 1] by a 1025-point scan
+    plus zoom; returns (argmax, value)."""
     opt = maximize_zoom(lambda x: fvec(x[:, 0]),
-                        np.linspace(0.0, 1.0, grid)[:, None],
-                        1.0 / (grid - 1), 1e-12)
+                        np.linspace(0.0, 1.0, 1025)[:, None], 1.0 / 1024, 1e-12)
     return opt.argmax[0], opt.value
 
 
-def _max_box2(fvec, grid: int = 65):
-    """Maximize a vectorized function over [0,1]^2; fvec maps (m,2) -> (m,).
-    Returns ((x, y), value)."""
-    xx, yy = np.meshgrid(np.linspace(0.0, 1.0, grid),
-                         np.linspace(0.0, 1.0, grid))
+def _max_box2(fvec):
+    """Maximize a vectorized function over [0,1]^2 by a 65 x 65 scan plus
+    zoom; fvec maps (m,2) -> (m,).  Returns ((x, y), value)."""
+    xx, yy = np.meshgrid(np.linspace(0.0, 1.0, 65), np.linspace(0.0, 1.0, 65))
     opt = maximize_zoom(fvec, np.column_stack([xx.ravel(), yy.ravel()]),
-                        1.0 / (grid - 1), 1e-12)
+                        1.0 / 64, 1e-12)
     return opt.argmax, opt.value
 
 
@@ -296,8 +294,10 @@ def _pair_source(model: Model, theta: float, n: Optional[int],
 
         return pe, None if limit_split is None else split
     oracle = _require_oracle(model)
-    if theta0 is None:
-        raise ValueError(f"finite-sample {bound} bound needs theta0")
+    space = model.descriptor.parameter_space
+    if theta0 is None or not space.lo < theta0 < space.hi:
+        raise ValueError(f"finite-sample {bound} bound needs theta0 inside "
+                         f"the parameter space ({space.lo:g}, {space.hi:g})")
 
     def pe(lo, hi, c):
         return oracle.pe(c, theta0 + lo, theta0 + hi, n)
@@ -540,11 +540,10 @@ def _three_point_engine(pe, split, domain: Interval, inner_prior: str,
 
         if w_zero:
             opt = maximize_simplex(
-                lambda x: batch(np.column_stack([x, np.zeros(len(x))])),
-                dim=2, vectorized=True)
+                lambda x: batch(np.column_stack([x, np.zeros(len(x))])), dim=2)
             q, r, w = (*opt.argmax, 0.0)
         else:
-            q, r, w = maximize_simplex(batch, dim=3, vectorized=True).argmax
+            q, r, w = maximize_simplex(batch, dim=3).argmax
         # the right pair is G(v*r, (1-v)*w): v is one minus the split of (r, w)
         u = float(split(-delta, 0.0, q, r)[0])
         v = 1.0 - float(split(0.0, delta, r, w)[0])
@@ -573,8 +572,12 @@ def three_point_bound(model: Model, theta: float = 1.0, s_domain=None, *,
     """
     if inner_prior not in ("free", "half"):
         raise ValueError("inner_prior must be 'free' or 'half'")
-    domain = _as_domain(s_domain)
     pe, split = _pair_source(model, theta, n, theta0, "three-point")
+    if s_domain is None and n is not None:
+        # the default range keeps theta0 - delta inside the parameter space
+        room = theta0 - model.descriptor.parameter_space.lo
+        s_domain = 0.0, min(_DEFAULT_S_DOMAIN.hi, math.nextafter(room, 0.0))
+    domain = _as_domain(s_domain)
     argmax, objective = _three_point_engine(
         pe, split or _searched_split(pe), domain, inner_prior, w_zero)
     loss = LossSpec.mse()
@@ -619,8 +622,7 @@ def three_point_exact_uniform(theta0: float = 1.0, s_domain=None) -> BoundReport
         return s * s * (t1 + t2)
 
     def inner(s: float):
-        opt = maximize_simplex(lambda rows: rows_value(s, rows), dim=3,
-                               vectorized=True)
+        opt = maximize_simplex(lambda rows: rows_value(s, rows), dim=3)
         return opt.argmax, opt.value
 
     s_star, (q, r, w) = _nested_max(inner, domain)
@@ -719,13 +721,14 @@ _SQRT3 = math.sqrt(3.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def rotation_wedge_integral(s: float, tol: float = 1e-10) -> float:
+def rotation_wedge_integral(s: float) -> float:
     """List-error limit for three rotated Gaussian test points:
     (1/sqrt(2*pi)) * integral_0^inf e^{-(u+s)^2/2} (1 - 2*Q(u*sqrt(3))) du.
 
     The factor in parentheses is the probability that a unit Gaussian pair
     falls inside the 120-degree wedge nearest the displaced test point.  At
     s = 0 the integral is exactly 1/3 (the wedge covers a third of the plane).
+    The quadrature's tolerance is 1e-10.
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
@@ -734,7 +737,7 @@ def rotation_wedge_integral(s: float, tol: float = 1e-10) -> float:
         return (_INV_SQRT_2PI * math.exp(-0.5 * (u + s) ** 2)
                 * (1.0 - 2.0 * gaussian_tail(u * _SQRT3)))
 
-    return integrate_semi_infinite(integrand, 0.0, tol)
+    return integrate_semi_infinite(integrand, 0.0, 1e-10)
 
 
 def rotation_nuisance_bound(sigma: float = 1.0, s_domain=None) -> BoundReport:

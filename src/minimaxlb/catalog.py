@@ -228,8 +228,8 @@ def compute_bound(model_id: str, bound_id: str, loss: LossSpec, params: dict,
             q=None if q is None else float(q), n=n)
 
     if bound_id == "nuisance-rotation":
-        sigma = float(params.get("sigma", model.params.get("sigma", 1.0)))
-        return bounds.rotation_nuisance_bound(sigma, _s_domain(params))
+        return bounds.rotation_nuisance_bound(float(params.get("sigma", 1.0)),
+                                              _s_domain(params))
 
     if bound_id in ("ring", "all-pairs"):
         thetas = [float(x) for x in str(params["thetas"]).split(",")]

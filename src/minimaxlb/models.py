@@ -23,16 +23,16 @@ over u in [0, 1] of G((1-u)*a, u*b) and u the split that attains it,
 elementwise over the masses a, b >= 0 (value 0 where a or b is 0).  It
 solves every prior the engines need: the two-point and transform priors
 split two fixed masses, and the nested engines split each flank pair of a
-simplex row (the pinned three-point row is in closed form).  The four
-Gaussian-type limits share one builder: their pe_inf is pe_pair at 1/2.
+simplex row (the pinned three-point row is in closed form).  Every limit
+comes from one builder per kind of pair error, Gaussian or min-form.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import expit, log_ndtr
@@ -125,7 +125,6 @@ class Model:
     oracle: Optional[BinaryErrorOracle] = None
     limit: Optional[LocalErrorLimit] = None
     sampler: Optional[object] = None
-    params: Mapping = field(default_factory=dict)
 
     @property
     def id(self) -> str:
@@ -148,13 +147,20 @@ def binary_gaussian_error(q, d):
     if not d >= 0:
         raise ValueError("distance must be nonnegative")
     if d == 0.0:
-        out = np.minimum(q, 1.0 - q)
-        return float(out) if out.ndim == 0 else out
+        return _min_form_pe(1.0, 1.0, q)
     interior = (q > 0.0) & (q < 1.0)
     qs = np.where(interior, q, 0.5)
     L = np.log((1.0 - qs) / qs)
     pe = qs * gaussian_tail(d / 2.0 - L / d) + (1.0 - qs) * gaussian_tail(d / 2.0 + L / d)
     out = np.where(interior, pe, 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def _min_form_pe(A, B, q):
+    """Min-form pair error min{A*q, B*(1-q)}, arms A, B >= 0: the error of a
+    pair whose MAP test errs only where the hypotheses overlap."""
+    q = np.asarray(q, dtype=float)
+    out = np.minimum(A * q, B * (1.0 - q))
     return float(out) if out.ndim == 0 else out
 
 
@@ -295,6 +301,14 @@ def exponential_rate_split(a, b, theta0: float, theta1: float):
     return u, value
 
 
+def _scale_arms(theta0: float, theta1: float, n: int):
+    if not 0.0 < theta0 <= theta1:
+        raise ValueError("need 0 < theta0 <= theta1")
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return 1.0, (theta0 / theta1) ** n
+
+
 def uniform_scale_pe(q, theta0: float, theta1: float, n: int):
     """MAP error for n iid draws from Uniform[0, theta], theta0 vs theta1.
 
@@ -303,32 +317,28 @@ def uniform_scale_pe(q, theta0: float, theta1: float, n: int):
     power alpha_ratio = (theta0/theta1)^n.  Coincident scales degenerate to
     min{q, 1-q}.
     """
-    if not 0.0 < theta0 <= theta1:
-        raise ValueError("need 0 < theta0 <= theta1")
+    return _min_form_pe(*_scale_arms(theta0, theta1, n), q)
+
+
+def _location_arms(theta0: float, theta1: float, n: int):
+    spacing = theta1 - theta0
+    if not spacing >= 0.0:
+        raise ValueError("need theta0 <= theta1")
     if n < 1:
         raise ValueError("need n >= 1")
-    q = np.asarray(q, dtype=float)
-    alpha_ratio = (theta0 / theta1) ** n
-    out = np.minimum(q, (1.0 - q) * alpha_ratio)
-    return float(out) if out.ndim == 0 else out
+    overlap = max(0.0, 1.0 - spacing) ** n
+    return overlap, overlap
 
 
 def uniform_location_pe(q, theta0: float, theta1: float, n: int):
     """MAP error for n iid draws from Uniform[theta, theta+1].
 
-    With spacing delta = theta1 - theta0 in [0, 1), the hypotheses are
-    confusable only when every draw lands in the overlap, an event of
-    probability (1 - delta)^n, and there the posteriors are flat:
-    pe = (1 - delta)^n * min{q, 1-q}.
+    With spacing delta = theta1 - theta0 >= 0, the hypotheses are confusable
+    only when every draw lands in the overlap, an event of probability
+    max(0, 1 - delta)^n, and there the posteriors are flat:
+    pe = max(0, 1 - delta)^n * min{q, 1-q}, 0 once the supports are disjoint.
     """
-    spacing = theta1 - theta0
-    if spacing < 0.0 or spacing >= 1.0:
-        raise ValueError("need 0 <= theta1 - theta0 < 1")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    q = np.asarray(q, dtype=float)
-    out = (1.0 - spacing) ** n * np.minimum(q, 1.0 - q)
-    return float(out) if out.ndim == 0 else out
+    return _min_form_pe(*_location_arms(theta0, theta1, n), q)
 
 
 def _separation(theta0, theta1) -> float:
@@ -375,6 +385,31 @@ def _gaussian_limit(dist, rate: RatePower) -> LocalErrorLimit:
                            pe_pair=pe_pair, pair_split=pair_split)
 
 
+def _min_form_limit(arms, rate: RatePower) -> LocalErrorLimit:
+    """The local limit whose pair error at spacing delta is the min form
+    min{A*q, B*(1-q)}, (A, B) = arms(theta, delta) (delta a float or array).
+    At spacing 2s the best prior meets the two arms, so pe_inf = A*B/(A+B)
+    (the split of unit masses), and pe_inf_halfprior = min{A, B}/2."""
+
+    def pe_pair(theta, delta, q):
+        return _min_form_pe(*arms(theta, delta), q)
+
+    def pair_split(theta, delta, a, b):
+        return _min_form_split(*arms(theta, delta), a, b)
+
+    def pe_inf(theta, s):
+        A, B = arms(theta, 2.0 * s)
+        # the floor makes 0/0 a 0 where both arms vanish
+        return A * (B / np.maximum(A + B, 5e-324))
+
+    def pe_inf_halfprior(theta, s):
+        return 0.5 * np.minimum(*arms(theta, 2.0 * s))
+
+    return LocalErrorLimit(pe_inf=pe_inf, rate=rate,
+                           pe_inf_halfprior=pe_inf_halfprior,
+                           pe_pair=pe_pair, pair_split=pair_split)
+
+
 def gaussian_location_limit(sigma: float) -> LocalErrorLimit:
     """Local limit of the Gaussian location model: contraction xi = n^(-1/2),
     pe_inf(theta, s) = Q(s/sigma), optimal prior identically 1/2."""
@@ -386,56 +421,28 @@ def gaussian_location_limit(sigma: float) -> LocalErrorLimit:
 
 
 def uniform_scale_limit() -> LocalErrorLimit:
-    """Local limit of the uniform scale model: xi = 1/n,
-    pe_inf(theta, s) = 1/(1 + e^(2s/theta)) at the optimizing prior, which is
-    itself 1/(1 + e^(2s/theta)); the frozen-prior variant is e^(-2s/theta)/2."""
-    rate = RatePower(1.0, 2.0, "n")
+    """Local limit of the uniform scale model: xi = 1/n, pair error
+    min{q, (1-q) e^(-delta/theta)}, so pe_inf(theta, s) = 1/(1 + e^(2s/theta))
+    at the optimizing prior, which is itself 1/(1 + e^(2s/theta)); the
+    frozen-prior variant is e^(-2s/theta)/2."""
 
-    def _check(theta):
+    def arms(theta, delta):
         if not theta > 0:
             raise ValueError("theta must be positive")
+        return 1.0, np.exp(-delta / theta)
 
-    def pe_inf(theta, s):
-        _check(theta)
-        return 1.0 / (1.0 + np.exp(2.0 * np.asarray(s, dtype=float) / theta))
-
-    def pe_half(theta, s):
-        _check(theta)
-        return 0.5 * np.exp(-2.0 * np.asarray(s, dtype=float) / theta)
-
-    def pe_pair(theta, delta, q):
-        _check(theta)
-        q = np.asarray(q, dtype=float)
-        out = np.minimum(q, (1.0 - q) * math.exp(-float(delta) / theta))
-        return float(out) if out.ndim == 0 else out
-
-    def pair_split(theta, delta, a, b):
-        _check(theta)
-        return _min_form_split(1.0, math.exp(-float(delta) / theta), a, b)
-
-    return LocalErrorLimit(pe_inf=pe_inf, rate=rate, pe_inf_halfprior=pe_half,
-                           pe_pair=pe_pair, pair_split=pair_split)
+    return _min_form_limit(arms, RatePower(1.0, 2.0, "n"))
 
 
 def uniform_location_limit() -> LocalErrorLimit:
-    """Local limit of the uniform location model: xi = 1/n,
-    pe_inf(theta, s) = e^(-2s)/2, parameter-free."""
-    rate = RatePower(1.0, 2.0, "n")
+    """Local limit of the uniform location model: xi = 1/n, pair error
+    e^(-delta) min{q, 1-q}, so pe_inf(theta, s) = e^(-2s)/2, parameter-free."""
 
-    def pe_inf(theta, s):
-        return 0.5 * np.exp(-2.0 * np.asarray(s, dtype=float))
+    def arms(theta, delta):
+        overlap = np.exp(-delta)
+        return overlap, overlap
 
-    def pe_pair(theta, delta, q):
-        q = np.asarray(q, dtype=float)
-        out = math.exp(-float(delta)) * np.minimum(q, 1.0 - q)
-        return float(out) if out.ndim == 0 else out
-
-    def pair_split(theta, delta, a, b):
-        overlap = math.exp(-float(delta))
-        return _min_form_split(overlap, overlap, a, b)
-
-    return LocalErrorLimit(pe_inf=pe_inf, rate=rate, pe_inf_halfprior=pe_inf,
-                           pe_pair=pe_pair, pair_split=pair_split)
+    return _min_form_limit(arms, RatePower(1.0, 2.0, "n"))
 
 
 def awgn_signal_limit(kind: str, *, pdot: float = None, n0: float = None,
@@ -612,13 +619,11 @@ def _symmetric_oracle(ordered_pe, ordered_split) -> BinaryErrorOracle:
     lo < hi: it accepts both orderings and coincident points."""
 
     def pe(q, theta0, theta1, n):
-        q = np.asarray(q, dtype=float)
         if theta0 == theta1:
-            out = np.minimum(q, 1.0 - q)
-            return float(out) if out.ndim == 0 else out
+            return _min_form_pe(1.0, 1.0, q)
         if theta0 < theta1:
             return ordered_pe(q, theta0, theta1, n)
-        return ordered_pe(1.0 - q, theta1, theta0, n)
+        return ordered_pe(1.0 - np.asarray(q, dtype=float), theta1, theta0, n)
 
     def pair_split(a, b, theta0, theta1, n):
         # coincident points err with min{q, 1-q}, so G(x, y) = min{x, y}
@@ -655,37 +660,22 @@ def _make_exp_rate() -> Model:
 
 
 def _make_uniform_scale() -> Model:
-    def ordered(q, t0, t1, n):
-        return uniform_scale_pe(q, t0, t1, n)
-
-    def ordered_split(a, b, t0, t1, n):
-        # pe = min{q, (1-q) (t0/t1)^n}, so G(x, y) = min{x, (t0/t1)^n y}
-        if not (t0 > 0.0 and n >= 1):
-            raise ValueError("need 0 < theta0 and n >= 1")
-        return _min_form_split(1.0, (t0 / t1) ** n, a, b)
-
+    oracle = _symmetric_oracle(uniform_scale_pe, lambda a, b, t0, t1, n:
+                               _min_form_split(*_scale_arms(t0, t1, n), a, b))
     desc = ModelDescriptor(
         id="uniform-scale", parameter_space=Interval(0.0, math.inf),
         notes="Uniform[0, theta]; contraction xi = 1/n")
-    return Model(descriptor=desc, oracle=_symmetric_oracle(ordered, ordered_split),
+    return Model(descriptor=desc, oracle=oracle,
                  limit=uniform_scale_limit(), sampler=UniformScaleSampler())
 
 
 def _make_uniform_location() -> Model:
-    def ordered(q, t0, t1, n):
-        return uniform_location_pe(q, t0, t1, n)
-
-    def ordered_split(a, b, t0, t1, n):
-        # pe = (1 - spacing)^n min{q, 1-q}: both arms carry the overlap
-        if not (t1 - t0 < 1.0 and n >= 1):
-            raise ValueError("need theta1 - theta0 < 1 and n >= 1")
-        overlap = (1.0 - (t1 - t0)) ** n
-        return _min_form_split(overlap, overlap, a, b)
-
+    oracle = _symmetric_oracle(uniform_location_pe, lambda a, b, t0, t1, n:
+                               _min_form_split(*_location_arms(t0, t1, n), a, b))
     desc = ModelDescriptor(id="uniform-location",
                            parameter_space=Interval(-1e308, math.inf),
                            notes="Uniform[theta, theta+1]; contraction xi = 1/n")
-    return Model(descriptor=desc, oracle=_symmetric_oracle(ordered, ordered_split),
+    return Model(descriptor=desc, oracle=oracle,
                  limit=uniform_location_limit(), sampler=UniformLocationSampler())
 
 
@@ -704,8 +694,7 @@ def _make_gauss_location(sigma: float = 1.0) -> Model:
         notes=f"Gaussian location, sigma={sigma:g}; contraction xi = n^-0.5")
     return Model(descriptor=desc, oracle=BinaryErrorOracle(pe, pair_split),
                  limit=gaussian_location_limit(sigma),
-                 sampler=GaussianLocationSampler(sigma),
-                 params={"sigma": sigma})
+                 sampler=GaussianLocationSampler(sigma))
 
 
 def _make_awgn_smooth(pdot: float = 1.0, n0: float = 1.0) -> Model:
@@ -713,8 +702,7 @@ def _make_awgn_smooth(pdot: float = 1.0, n0: float = 1.0) -> Model:
         id="awgn-smooth", parameter_space=Interval(-1e308, math.inf),
         notes=f"smooth waveform in white noise, pdot={pdot:g}, n0={n0:g}")
     return Model(descriptor=desc,
-                 limit=awgn_signal_limit("smooth", pdot=pdot, n0=n0),
-                 params={"pdot": pdot, "n0": n0})
+                 limit=awgn_signal_limit("smooth", pdot=pdot, n0=n0))
 
 
 def _make_awgn_rect(power: float = 1.0, n0: float = 1.0,
@@ -725,8 +713,7 @@ def _make_awgn_rect(power: float = 1.0, n0: float = 1.0,
               f"n0={n0:g}, pulse_width={pulse_width:g}")
     return Model(descriptor=desc,
                  limit=awgn_signal_limit("rect", power=power, n0=n0,
-                                         pulse_width=pulse_width),
-                 params={"power": power, "n0": n0, "pulse_width": pulse_width})
+                                         pulse_width=pulse_width))
 
 
 def _make_exp_family(fisher: Callable[[float], float] = None,
@@ -744,8 +731,7 @@ def _make_exp_family(fisher: Callable[[float], float] = None,
     desc = ModelDescriptor(
         id="exp-family", parameter_space=Interval(-1e308, math.inf),
         notes="smooth exponential family via its Fisher information")
-    return Model(descriptor=desc, limit=exp_family_limit(fisher),
-                 params={"sigma": sigma, "h": h})
+    return Model(descriptor=desc, limit=exp_family_limit(fisher))
 
 
 def _make_nuisance_rotation(sigma: float = 1.0) -> Model:
@@ -756,7 +742,7 @@ def _make_nuisance_rotation(sigma: float = 1.0) -> Model:
         nuisance="second location coordinate",
         notes="2-D Gaussian location with an unknown nuisance coordinate; "
               "served by the rotation-transform bound")
-    return Model(descriptor=desc, params={"sigma": sigma})
+    return Model(descriptor=desc)
 
 
 _FACTORIES = {

@@ -173,14 +173,14 @@ def maximize_zoom(f, scan: np.ndarray, half: float, stop: float,
                   lift=None) -> OptResult:
     """Maximize a vectorized f over coordinates in [0, 1]^d, d = 1 or 2.
 
-    f maps an (m, k) array of rows to m values; NaN counts as -inf.  After
-    the (m, d) ``scan`` points, a stencil of 13 points per axis, clipped to
-    [0, 1], is laid around the incumbent, which moves only on a strict
-    improvement; its half-width starts at ``half`` and shrinks by 0.35 per
-    round while it exceeds ``stop``.  ``lift``, if given, maps coordinates to
-    (kept coordinates, one row per kept point), dropping infeasible points;
-    otherwise the rows are the coordinates.  ``value`` is f re-evaluated at
-    the returned row; ``evaluations`` counts rows.
+    f maps an (m, k) array of rows to m values (ValueError otherwise); NaN
+    counts as -inf.  After the (m, d) ``scan`` points, a stencil of 13 points
+    per axis, clipped to [0, 1], is laid around the incumbent, which moves
+    only on a strict improvement; its half-width starts at ``half`` and
+    shrinks by 0.35 per round while it exceeds ``stop``.  ``lift``, if given,
+    maps coordinates to (kept coordinates, one row per kept point), dropping
+    infeasible points; otherwise the rows are the coordinates.  ``value`` is
+    f re-evaluated at the returned row; ``evaluations`` counts rows.
     """
     evals = 0
 
@@ -192,6 +192,8 @@ def maximize_zoom(f, scan: np.ndarray, half: float, stop: float,
         return coords, np.where(np.isnan(vals), -np.inf, vals)
 
     coords, vals = batch(scan)
+    if vals.shape != (len(coords),):
+        raise ValueError("f must return one value per row")
     i = int(np.argmax(vals))
     best = coords[i].copy()
     best_v = float(vals[i])
@@ -232,12 +234,11 @@ def _lift_simplex3(c: np.ndarray):
     return c, np.clip(rows, 0.0, 1.0, out=rows)
 
 
-def maximize_simplex(f, dim: int, *, vectorized: bool = False) -> OptResult:
+def maximize_simplex(f, dim: int) -> OptResult:
     """Maximize f over the probability simplex with ``dim`` weights.
 
-    f receives a weight vector (length ``dim``, nonnegative, summing to one).
-    With ``vectorized=True`` it instead receives an (m, dim) array and must
-    return m values; the search is identical, only cheaper.
+    f receives an (m, dim) array of weight rows (nonnegative, summing to
+    one) and returns m values.
 
     Barycentric grid scan (1025 points for dim 2, step 1/64 for dim 3)
     followed by maximize_zoom's shrinking local grids around the incumbent,
@@ -246,12 +247,10 @@ def maximize_simplex(f, dim: int, *, vectorized: bool = False) -> OptResult:
     """
     if dim not in (2, 3):
         raise ValueError("maximize_simplex supports dim 2 or 3 only")
-    fvec = f if vectorized else (
-        lambda rows: np.array([float(f(row)) for row in rows], dtype=float))
     if dim == 2:
-        return maximize_zoom(fvec, np.linspace(0.0, 1.0, 1025)[:, None],
+        return maximize_zoom(f, np.linspace(0.0, 1.0, 1025)[:, None],
                              1.0 / 16, 1e-11, _lift_simplex2)
-    return maximize_zoom(fvec, _SIMPLEX3_GRID, 1.0 / 64, 1e-11, _lift_simplex3)
+    return maximize_zoom(f, _SIMPLEX3_GRID, 1.0 / 64, 1e-11, _lift_simplex3)
 
 
 def _adaptive_simpson(f, a, fa, m, fm, b, fb, whole, tol, depth):
@@ -273,8 +272,9 @@ def _adaptive_simpson(f, a, fa, m, fm, b, fb, whole, tol, depth):
 
 
 def integrate_adaptive(f: Callable[[float], float], lo: float, hi: float,
-                       tol: float = 1e-6, *, max_depth: int = 48) -> float:
-    """Adaptive Simpson quadrature of f over the finite interval [lo, hi]."""
+                       tol: float = 1e-6) -> float:
+    """Adaptive Simpson quadrature of f over the finite interval [lo, hi],
+    bisecting at most 48 levels deep."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("integrate_adaptive requires finite endpoints")
     if hi <= lo:
@@ -285,19 +285,19 @@ def integrate_adaptive(f: Callable[[float], float], lo: float, hi: float,
     m = 0.5 * (lo + hi)
     fm = f(m)
     whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, lo, fa, m, fm, hi, fb, whole, tol, max_depth)
+    return _adaptive_simpson(f, lo, fa, m, fm, hi, fb, whole, tol, 48)
 
 
 def integrate_semi_infinite(f: Callable[[float], float], lo: float,
-                            tol: float = 1e-6, *, max_segments: int = 64) -> float:
+                            tol: float = 1e-6) -> float:
     """Integrate f over [lo, inf) assuming Gaussian-dominated decay.
 
-    The half-line is walked in width-2 segments, each integrated adaptively
-    with a geometrically shrinking share of the tolerance budget.  Walking
-    stops once two consecutive segments contribute less than tol/20 each, at
-    which point the discarded tail is below tol/10 for any integrand whose
-    decay is at least geometric from segment to segment (Gaussian decay is far
-    stronger).  Raises QuadratureError if the tail never quiets down.
+    The half-line is walked in at most 64 width-2 segments, each integrated
+    adaptively with a geometrically shrinking share of the tolerance budget.
+    Walking stops once two consecutive segments contribute less than tol/20
+    each, at which point the discarded tail is below tol/10 for any integrand
+    whose decay is at least geometric from segment to segment (Gaussian decay
+    is far stronger).  Raises QuadratureError if the tail never quiets down.
     """
     if not math.isfinite(lo):
         raise ValueError("lower endpoint must be finite")
@@ -307,7 +307,7 @@ def integrate_semi_infinite(f: Callable[[float], float], lo: float,
     width = 2.0
     total = 0.0
     quiet = 0
-    for k in range(max_segments):
+    for k in range(64):
         a = lo + k * width
         seg_tol = max(tol * 2.0 ** (-(k + 2)), 1e-16)
         seg = integrate_adaptive(f, a, a + width, seg_tol)
@@ -320,4 +320,4 @@ def integrate_semi_infinite(f: Callable[[float], float], lo: float,
             quiet = 0
     raise QuadratureError(
         "integrand tail did not fall below the truncation budget",
-        interval=(lo, lo + max_segments * width), estimate=total, error=None)
+        interval=(lo, a + width), estimate=total, error=None)

@@ -79,13 +79,12 @@ def _simplex_rows(d: int) -> np.ndarray:
     return rows
 
 
-def check_simplex_infimum(a: Sequence[float], grid_density: int = 400
-                          ) -> CheckReport:
+def check_simplex_infimum(a: Sequence[float]) -> CheckReport:
     """The infimum over the open probability simplex of max_i a_i / r_i is
     the plain sum of the a_i, attained at r_i = a_i / sum(a).
 
-    Verified by grid minimization (with zoom) against sum(a), plus an exact
-    evaluation at the analytic minimizer.
+    Verified by grid minimization (step 1/400, with zoom) against sum(a),
+    plus an exact evaluation at the analytic minimizer.
     """
     a = tuple(float(x) for x in a)
     if len(a) not in (2, 3):
@@ -103,11 +102,8 @@ def check_simplex_infimum(a: Sequence[float], grid_density: int = 400
             r = np.asarray(r, dtype=float)
             return np.maximum(a[0] / r, a[1] / (1.0 - r))
 
-        _, best, evals = _zoom_min_1d(f, 1e-9, 1.0 - 1e-9,
-                                      max(grid_density, 8) + 1)
+        _, best, evals = _zoom_min_1d(f, 1e-9, 1.0 - 1e-9, 401)
     else:
-        d = max(grid_density, 8)
-
         def f(rows):
             # 1 - q - r can round to a tiny negative, flipping the ratio's
             # sign; such rows sit on the boundary and must score +inf
@@ -116,13 +112,13 @@ def check_simplex_infimum(a: Sequence[float], grid_density: int = 400
                                         a[2] / rows[:, 2]]), axis=0)
             return np.where((rows <= 0.0).any(axis=1), np.inf, vals)
 
-        rows = _simplex_rows(d)
+        rows = _simplex_rows(400)
         vals = f(rows)
         i = int(np.argmin(vals))
         best_pt = rows[i, :2].copy()
         best = float(vals[i])
         evals = len(rows)
-        half = 1.0 / d
+        half = 1.0 / 400
         steps = np.linspace(-1.0, 1.0, 13)
         while half > 1e-13:
             gx = np.clip(best_pt[0] + half * steps, 0.0, 1.0)
@@ -229,34 +225,27 @@ def check_split_chain(a: float, b: float, c: float) -> CheckReport:
                                 1e-12)
 
 
-def _sinusoid_correlation(theta: float, delta: float, samples: int = 4096
-                          ) -> float:
+def _sinusoid_correlation(theta: float, delta: float) -> float:
     """Normalized correlation of a unit-energy phase-shifted sinusoid over a
-    full period, by trapezoid quadrature (spectrally accurate here)."""
-    tau = np.linspace(0.0, 1.0, samples + 1)
+    full period: trapezoid rule on 4096 intervals, spectrally accurate here."""
+    tau = np.linspace(0.0, 1.0, 4097)
     s0 = math.sqrt(2.0) * np.sin(2.0 * math.pi * tau + theta)
     s1 = math.sqrt(2.0) * np.sin(2.0 * math.pi * tau + theta + delta)
     energy = np.trapezoid(s0 * s0, tau)
     return float(np.trapezoid(s0 * s1, tau) / energy)
 
 
-def check_correlation_expansion(theta: float = 0.3,
-                                delta_grid: Sequence[float] = None
-                                ) -> CheckReport:
+def check_correlation_expansion() -> CheckReport:
     """Small-offset expansion of the signal correlation.
 
     For a constant-energy family (phase-shifted sinusoid), the correlation
-    between the signal at theta and at theta + delta has no linear term and
-    curvature set by the derivative energy: (1 - corr(delta))/delta^2 -> 1/2
-    here.  Checked numerically: exact self-correlation, vanishing first-order
-    term, and the curvature limit along a shrinking delta grid.
+    between the signal at theta = 0.3 and at theta + delta has no linear term
+    and curvature set by the derivative energy: (1 - corr(delta))/delta^2 ->
+    1/2 here.  Checked numerically: exact self-correlation, vanishing
+    first-order term, and the curvature limit along a shrinking delta grid.
     """
-    if delta_grid is None:
-        delta_grid = (0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002)
-    deltas = sorted(float(d) for d in delta_grid)
-    if not deltas or deltas[0] <= 0:
-        raise ValueError("delta grid must be positive")
-
+    theta = 0.3
+    deltas = (0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5)  # smallest first
     err_self = abs(_sinusoid_correlation(theta, 0.0) - 1.0)
 
     h = 1e-4

@@ -581,9 +581,16 @@ class TestPairSplit:
     def test_oracle_split_validates_like_the_oracle(self):
         with pytest.raises(ValueError):
             models.get_model("exp-rate").oracle.pair_split(0.5, 0.5, 1.0, 2.0, 2)
-        with pytest.raises(ValueError):
-            models.get_model("uniform-location").oracle.pair_split(
-                0.5, 0.5, 0.0, 1.5, 1)
+        # disjoint supports at spacing 1.5: the pair error and split are 0
+        oracle = models.get_model("uniform-location").oracle
+        assert oracle.pe(0.5, 0.0, 1.5, 1) == 0.0
+        assert oracle.pair_split(0.5, 0.5, 0.0, 1.5, 1)[1] == 0.0
+        for model_id in ("uniform-location", "uniform-scale"):
+            oracle = models.get_model(model_id).oracle
+            with pytest.raises(ValueError):
+                oracle.pe(0.5, 1.0, 1.5, 0)
+            with pytest.raises(ValueError):
+                oracle.pair_split(0.5, 0.5, 1.0, 1.5, 0)
 
     def test_min_form_closed_form(self):
         a = np.array([0.3, 0.5])
@@ -635,11 +642,9 @@ def _pinned_simplex_max(a, b, w_zero):
     if w_zero:
         opt = maximize_simplex(
             lambda rows: _pinned_factor(
-                np.column_stack([rows, np.zeros(len(rows))]), a, b),
-            dim=2, vectorized=True)
+                np.column_stack([rows, np.zeros(len(rows))]), a, b), dim=2)
         return (*opt.argmax, 0.0), opt.value
-    opt = maximize_simplex(lambda rows: _pinned_factor(rows, a, b), dim=3,
-                           vectorized=True)
+    opt = maximize_simplex(lambda rows: _pinned_factor(rows, a, b), dim=3)
     return opt.argmax, opt.value
 
 

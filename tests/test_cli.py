@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import oracles
-from minimaxlb import catalog, cli, verify
+from minimaxlb import catalog, cli, models, verify
+from minimaxlb.loss import LossSpec
 
 
 def run_cli(capsys, *argv):
@@ -141,6 +142,43 @@ class TestCompute:
                              "--bound", bound, "--n", "50")
         assert rc == 2
         assert "needs theta0" in err
+
+    @pytest.mark.parametrize("model_id,bound,n,theta0", [
+        ("exp-rate", "three-point", 1, 5.0),
+        ("uniform-scale", "three-point", 1, 10.0),
+        ("uniform-location", "moment", 4, 0.0)])
+    def test_sample_size_spacings_stay_in_the_parameter_space(
+            self, capsys, model_id, bound, n, theta0):
+        # the default spacing range ends where a test point would leave the
+        # parameter space, and uniform-location pairs are defined past
+        # spacing 1 (disjoint supports, error 0)
+        rc, out, _ = run_cli(capsys, "compute", "--model", model_id,
+                             "--bound", bound, "--n", str(n), "--theta0",
+                             str(theta0), "--format", "json")
+        assert rc == 0
+        report = catalog.compute_bound(model_id, bound, LossSpec.mse(),
+                                       {"n": n, "theta0": theta0})
+        assert json.loads(out)["value"] == pytest.approx(report.value,
+                                                         rel=1e-9)
+        assert report.reevaluate() == report.value
+        space = models.get_model(model_id).descriptor.parameter_space
+        delta = report.argmax["delta"]
+        points = [theta0 + delta, theta0 - delta if bound == "three-point"
+                  else theta0]
+        assert all(space.lo < p < space.hi for p in points)
+
+    def test_explicit_smax_takes_precedence(self, capsys):
+        args = ("compute", "--model", "exp-rate", "--bound", "three-point",
+                "--n", "1", "--theta0", "5", "--format", "json")
+        rc, out, _ = run_cli(capsys, *args, "--smax", "4")
+        assert rc == 0
+        assert json.loads(out)["argmax"]["delta"] <= 4.0
+        rc, _, err = run_cli(capsys, *args, "--smax", "6")
+        assert rc == 2
+        assert "theta0 < theta1" in err
+        rc, _, err = run_cli(capsys, *args[:-4], "--theta0", "-1")
+        assert rc == 2
+        assert "inside the parameter space" in err
 
     def test_param_passthrough(self, capsys):
         rc, out, _ = run_cli(capsys, "compute", "--model", "uniform-scale",

@@ -89,8 +89,34 @@ class TestClosedFormPe:
     def test_uniform_location(self):
         assert models.uniform_location_pe(0.5, 0.0, 0.25, 2) == \
             pytest.approx(0.75 ** 2 * 0.5)
+        # from spacing 1 on the supports are disjoint and the test never errs
+        assert models.uniform_location_pe(0.5, 0.0, 1.5, 1) == 0.0
+        assert models.uniform_location_pe(0.3, 0.0, 1.0, 4) == 0.0
         with pytest.raises(ValueError):
-            models.uniform_location_pe(0.5, 0.0, 1.5, 1)
+            models.uniform_location_pe(0.5, 0.0, 0.5, 0)
+        with pytest.raises(ValueError):
+            models.uniform_location_pe(0.5, 0.5, 0.0, 1)
+
+    @pytest.mark.parametrize("n", [1, 4, 20])
+    def test_uniform_min_forms_keep_their_closed_forms(self, n):
+        # both pair errors are the min form of their arms, bit for bit equal
+        # to the closed forms written out
+        q = np.linspace(0.0, 1.0, 1001)
+        for theta0, theta1 in [(1.0, 1.0), (1.0, 1.05), (2.0, 2.9),
+                               (0.3, 1.2), (5.0, 5.999)]:
+            expect = np.minimum(q, (1.0 - q) * (theta0 / theta1) ** n)
+            assert np.array_equal(
+                models.uniform_scale_pe(q, theta0, theta1, n), expect)
+            assert models.uniform_scale_pe(0.3, theta0, theta1, n) == \
+                min(0.3, 0.7 * (theta0 / theta1) ** n)
+        for theta0, theta1 in [(0.0, 0.0), (0.0, 0.01), (-2.0, -1.75),
+                               (0.3, 0.8), (3.1, 4.0), (1.0, 1.999)]:
+            spacing = theta1 - theta0
+            expect = (1.0 - spacing) ** n * np.minimum(q, 1.0 - q)
+            assert np.array_equal(
+                models.uniform_location_pe(q, theta0, theta1, n), expect)
+            assert models.uniform_location_pe(0.3, theta0, theta1, n) == \
+                (1.0 - spacing) ** n * 0.3
 
     def test_gaussian_location_reduces_to_tail(self):
         # n observations collapse to one test at distance sqrt(n) |delta|
@@ -207,6 +233,28 @@ class TestLocalLimits:
             with pytest.raises(ValueError, match="nonnegative"), \
                     np.errstate(invalid="ignore"):
                 lim.pe_pair(1.3, -0.5, 0.5)
+
+    @pytest.mark.parametrize("model_id", [
+        "gauss-location", "awgn-smooth", "awgn-rect", "exp-family",
+        "uniform-scale", "uniform-location"])
+    def test_views_derive_from_the_pair_error(self, model_id):
+        # pe_inf is the pair split of unit masses at spacing 2s, and
+        # pe_inf_halfprior the pair error at prior 1/2 there
+        lim = models.get_model(model_id).limit
+        s = np.linspace(0.0, 20.0, 2001)
+        best = np.array([float(lim.pair_split(1.3, 2.0 * x, 1.0, 1.0)[1])
+                         for x in s])
+        half = np.array([float(lim.pe_pair(1.3, 2.0 * x, 0.5)) for x in s])
+        views = [(np.array([float(lim.pe_inf(1.3, x)) for x in s]), best),
+                 (np.asarray(lim.pe_inf(1.3, s)), best),
+                 (np.array([float(lim.pe_inf_halfprior(1.3, x)) for x in s]),
+                  half),
+                 (np.asarray(lim.pe_inf_halfprior(1.3, s)), half)]
+        for view, expect in views:
+            if model_id.startswith("uniform"):
+                assert np.all(np.abs(view - expect) <= 2.0 * np.spacing(expect))
+            else:
+                assert np.array_equal(view, expect)
 
     def test_awgn_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -96,38 +96,47 @@ class TestMaximize1d:
 
 class TestMaximizeSimplex:
     def test_dim2_product(self):
-        res = maximize_simplex(lambda q: q[0] * q[1], dim=2)
+        res = maximize_simplex(lambda q: q[:, 0] * q[:, 1], dim=2)
         assert abs(res.value - 0.25) < 1e-10
         assert abs(res.argmax[0] - 0.5) < 1e-5
 
     def test_dim3_pair_weights(self):
-        def f(p):
-            q, r, w = p
-            left = 2 * q * r / (q + r) if q + r > 0 else 0.0
-            right = 2 * r * w / (r + w) if r + w > 0 else 0.0
+        def f(rows):
+            q, r, w = rows.T
+            with np.errstate(invalid="ignore"):
+                left = np.where(q + r > 0, 2 * q * r / (q + r), 0.0)
+                right = np.where(r + w > 0, 2 * r * w / (r + w), 0.0)
             return left + right
         res = maximize_simplex(f, dim=3)
         assert abs(res.value - oracles.FROZEN["simplex_pair_weight_max"]) < 1e-8
 
     def test_dim3_linear_hits_vertex(self):
-        res = maximize_simplex(lambda p: p[2], dim=3)
+        res = maximize_simplex(lambda p: p[:, 2], dim=3)
         assert res.value > 1.0 - 1e-6
 
     def test_vectorized_batch(self):
         def batch(rows):
             return rows[:, 0] * rows[:, 1]
-        res = maximize_simplex(batch, dim=2, vectorized=True)
+        res = maximize_simplex(batch, dim=2)
         assert abs(res.value - 0.25) < 1e-10
+
+    def test_rejects_an_objective_of_one_row(self):
+        # an objective written for a single weight vector returns the wrong
+        # number of values for a batch of rows, and the search refuses it
+        with pytest.raises(ValueError, match="one value per row"):
+            maximize_simplex(lambda p: p[0] * p[1], dim=2)
+        with pytest.raises(ValueError, match="one value per row"):
+            maximize_simplex(lambda p: float(p[0] @ p[1]), dim=3)
 
     def test_rejects_unsupported_dim(self):
         with pytest.raises(ValueError):
             maximize_simplex(lambda p: 0.0, dim=4)
 
     def test_value_is_reevaluation(self):
-        def f(p):
-            return p[0] * p[1] * p[2]
+        def f(rows):
+            return rows[:, 0] * rows[:, 1] * rows[:, 2]
         res = maximize_simplex(f, dim=3)
-        assert res.value == f(res.argmax)
+        assert res.value == f(np.array([res.argmax]))[0]
 
 
 class TestQuadrature:
