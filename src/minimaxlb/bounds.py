@@ -308,6 +308,16 @@ def _pair_source(model: Model, theta: float, n: Optional[int],
     return pe, None if oracle.pair_split is None else split
 
 
+def _edge_notes(x: float, domain: Interval) -> tuple:
+    """A note when an outer spacing search returned the upper end of its
+    domain: the objective may still rise past it, so the supremum can lie
+    beyond the range searched."""
+    if x < domain.hi:
+        return ()
+    return (f"argmax at the upper edge {domain.hi:g} of the search range "
+            f"[{domain.lo:g}, {domain.hi:g}]; the supremum may lie beyond it",)
+
+
 def _nested_max(inner, domain: Interval):
     """Outer search of a nested bound.  inner(x) -> (argmax, value) solves
     the inner problem at outer coordinate x; maximize its value over the
@@ -410,6 +420,7 @@ def local_two_point_bound(model: Model, loss: LossSpec, theta: float = 1.0,
     s_star = opt.argmax[0]
     rate = limit.rate.with_power_loss(loss.t) if loss.kind == "power" else None
     notes = ("prior frozen at 1/2",) if half_prior else ()
+    notes += _edge_notes(s_star, domain)
     return BoundReport(bound_id="local-two-point", model_id=model.id,
                        value=objective(s_star), loss=loss, rate=rate,
                        argmax={"s": s_star}, notes=notes, objective=objective)
@@ -474,6 +485,7 @@ def moment_two_point_bound(model: Model, t: float, theta: float = 1.0,
 
     rate = model.limit.rate.with_power_loss(t) if n is None else None
     notes = () if r_fixed is None else (f"loss split r frozen at {r_fixed:g}",)
+    notes += _edge_notes(d_star, domain)
     return BoundReport(bound_id="moment", model_id=model.id,
                        value=objective(d_star, q_star, r_star), loss=loss,
                        rate=rate,
@@ -585,6 +597,7 @@ def three_point_bound(model: Model, theta: float = 1.0, s_domain=None, *,
     notes = (f"pair priors {inner_prior}",)
     if w_zero:
         notes += ("third-point weight pinned to 0",)
+    notes += _edge_notes(argmax["delta"], domain)
     return BoundReport(bound_id="three-point", model_id=model.id,
                        value=objective(**argmax), loss=loss, rate=rate,
                        argmax=argmax, notes=notes, objective=objective)
@@ -637,7 +650,8 @@ def three_point_exact_uniform(theta0: float = 1.0, s_domain=None) -> BoundReport
                        rate=rate, argmax=argmax,
                        notes=("exact three-hypothesis risk, not the pairwise "
                               "relaxation; s is the spacing in contraction "
-                              "units, so theta0^2 multiplies the coefficient",),
+                              "units, so theta0^2 multiplies the coefficient",)
+                       + _edge_notes(s_star, domain),
                        objective=objective)
 
 

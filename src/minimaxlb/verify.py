@@ -1,9 +1,21 @@
 """Brute-force verification of the algebra behind the bound engines.
 
 Each check re-derives a closed form by direct numerical search (dense grids
-with local zoom, hand-rolled here on purpose so the checks do not share code
-with the machinery they vouch for) and reports the worst discrepancy found.
-The reproduction pipeline refuses to run if any default check fails.
+with local zoom) and reports the worst discrepancy found.  The searches are
+hand-rolled here on purpose: this module imports nothing from the engine, so
+the checks share no code with the machinery they vouch for.  The
+reproduction pipeline refuses to run if any default check fails.
+
+The 1-D searches are row-wise: ``_zoom_min_rows`` scans and zooms many
+independent problems at once, each row with its own interval and stop rule,
+so the default suite scores its random draws in chunks of ``_CHUNK`` rows
+instead of one Python call per draw, and the public checks are one-row calls
+of the same code.  A row does the same floating-point operations whatever
+batch it sits in, so a draw's error does not depend on how the draws are
+chunked.  For the same reason the objectives divide where the closed forms
+divide (a_i / r_i, not a_i times a cached 1 / r_i): a product with a rounded
+reciprocal can differ from the quotient in the last bit, and such a change
+would move the brute-force minimum a check compares against.
 """
 
 from __future__ import annotations
@@ -27,6 +39,10 @@ __all__ = [
 ]
 
 DEFAULT_SUITE_SEED = 1729
+# rows scored together by the suite: a (32, 2001) scan is about 0.5 MB, so
+# the batch keeps peak memory flat while Python overhead is paid per chunk
+_CHUNK = 32
+_ZOOM_STEPS = np.linspace(-1.0, 1.0, 13)
 
 
 @dataclass(frozen=True)
@@ -45,38 +61,65 @@ class CheckReport:
                            passed=bool(max_abs_error <= tolerance))
 
 
-def _zoom_min_1d(f, lo: float, hi: float, grid: int):
-    """Minimize a vectorized scalar function on [lo, hi]: scan plus shrinking
-    local grids.  Returns (argmin, min, evaluations)."""
-    xs = np.linspace(lo, hi, grid)
-    vals = np.asarray(f(xs), dtype=float)
-    i = int(np.argmin(vals))
-    best_x, best_v = float(xs[i]), float(vals[i])
-    evals = grid
+def _zoom_min_rows(f, lo, hi, grid: int):
+    """Minimize f on each row's interval [lo[k], hi[k]], lo[k] < hi[k]:
+    scan plus shrinking local grids, row by row in one batch.
+
+    Row k scans np.linspace(lo[k], hi[k], grid), then lays 13 points of
+    half-width ``half`` (one scan step at first), clipped to its interval,
+    around its incumbent, which moves only on a strict improvement; half
+    shrinks by 0.35 a round while it exceeds 1e-13 * max(1, |lo[k]|,
+    |hi[k]|), and rows that have stopped drop out of later rounds.
+    f(x, rows) maps a (k, m) array, whose row i holds abscissae of problem
+    rows[i], to values of the same shape; it must compute each value from
+    that row's own parameters only.  Returns the arrays (argmin, min,
+    evaluations), one entry per row.  A row's grid, clipping, comparisons and
+    stop rule use its own numbers alone, so a batch finds bit for bit what
+    one-row calls find.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    rows = np.arange(lo.size)
+    xs = np.linspace(lo, hi, grid, axis=1)
+    vals = f(xs, rows)
+    i = np.argmin(vals, axis=1)
+    best_x, best_v = xs[rows, i], vals[rows, i]
+    evals = np.full(lo.size, grid)
     half = (hi - lo) / (grid - 1)
-    steps = np.linspace(-1.0, 1.0, 13)
-    while half > 1e-13 * max(1.0, abs(lo), abs(hi)):
-        cand = np.clip(best_x + half * steps, lo, hi)
-        vals = np.asarray(f(cand), dtype=float)
-        evals += len(cand)
-        j = int(np.argmin(vals))
-        if vals[j] < best_v:
-            best_v, best_x = float(vals[j]), float(cand[j])
-        half *= 0.35
+    stop = 1e-13 * np.maximum(np.maximum(1.0, np.abs(lo)), np.abs(hi))
+    live = rows[half > stop]
+    while live.size:
+        cand = np.clip(best_x[live, None] + half[live, None] * _ZOOM_STEPS,
+                       lo[live, None], hi[live, None])
+        vals = f(cand, live)
+        evals[live] += _ZOOM_STEPS.size
+        at, j = np.arange(live.size), np.argmin(vals, axis=1)
+        better = vals[at, j] < best_v[live]
+        best_v[live[better]] = vals[at, j][better]
+        best_x[live[better]] = cand[at, j][better]
+        half[live] *= 0.35
+        live = live[half[live] > stop[live]]
     return best_x, best_v, evals
 
 
+def _as_rows(*values) -> tuple:
+    return tuple(np.array([v], dtype=float) for v in values)
+
+
 @functools.lru_cache(maxsize=4)
-def _simplex_rows(d: int) -> np.ndarray:
-    """Read-only (q, r, w) rows of the step-1/d barycentric simplex grid,
-    built on first use and shared by every later call."""
+def _simplex_rows(d: int):
+    """Read-only (q, r, w) rows of the step-1/d barycentric simplex grid and
+    the mask of rows on its boundary, built on first use and shared by every
+    later call."""
     ii, jj = np.meshgrid(np.arange(d + 1), np.arange(d + 1))
     keep = ii + jj <= d
     q = ii[keep] / d
     r = jj[keep] / d
     rows = np.column_stack([q, r, 1.0 - q - r])
+    on_edge = (rows <= 0.0).any(axis=1)
     rows.flags.writeable = False
-    return rows
+    on_edge.flags.writeable = False
+    return rows, on_edge
 
 
 def check_simplex_infimum(a: Sequence[float]) -> CheckReport:
@@ -98,36 +141,37 @@ def check_simplex_infimum(a: Sequence[float]) -> CheckReport:
     err_analytic = abs(analytic - total) / total
 
     if len(a) == 2:
-        def f(r):
-            r = np.asarray(r, dtype=float)
+        def f(r, _rows):
             return np.maximum(a[0] / r, a[1] / (1.0 - r))
 
-        _, best, evals = _zoom_min_1d(f, 1e-9, 1.0 - 1e-9, 401)
+        _, best, evals = _zoom_min_rows(f, *_as_rows(1e-9, 1.0 - 1e-9), 401)
+        best, evals = best[0], evals[0]
     else:
-        def f(rows):
+        def f(rows, on_edge):
             # 1 - q - r can round to a tiny negative, flipping the ratio's
             # sign; such rows sit on the boundary and must score +inf
             with np.errstate(divide="ignore"):
-                vals = np.max(np.stack([a[0] / rows[:, 0], a[1] / rows[:, 1],
-                                        a[2] / rows[:, 2]]), axis=0)
-            return np.where((rows <= 0.0).any(axis=1), np.inf, vals)
+                vals = np.maximum(np.maximum(a[0] / rows[:, 0],
+                                             a[1] / rows[:, 1]),
+                                  a[2] / rows[:, 2])
+            vals[on_edge] = np.inf
+            return vals
 
-        rows = _simplex_rows(400)
-        vals = f(rows)
+        rows, on_edge = _simplex_rows(400)
+        vals = f(rows, on_edge)
         i = int(np.argmin(vals))
         best_pt = rows[i, :2].copy()
         best = float(vals[i])
         evals = len(rows)
         half = 1.0 / 400
-        steps = np.linspace(-1.0, 1.0, 13)
         while half > 1e-13:
-            gx = np.clip(best_pt[0] + half * steps, 0.0, 1.0)
-            gy = np.clip(best_pt[1] + half * steps, 0.0, 1.0)
+            gx = np.clip(best_pt[0] + half * _ZOOM_STEPS, 0.0, 1.0)
+            gy = np.clip(best_pt[1] + half * _ZOOM_STEPS, 0.0, 1.0)
             xx, yy = np.meshgrid(gx, gy)
             cand = np.column_stack([xx.ravel(), yy.ravel()])
             cand = cand[cand.sum(axis=1) <= 1.0]
             rows = np.column_stack([cand, 1.0 - cand.sum(axis=1)])
-            vals = f(rows)
+            vals = f(rows, (rows <= 0.0).any(axis=1))
             evals += len(rows)
             j = int(np.argmin(vals))
             if vals[j] < best:
@@ -139,6 +183,30 @@ def check_simplex_infimum(a: Sequence[float]) -> CheckReport:
     return CheckReport.from_run("simplex-infimum", err, evals, 1e-3)
 
 
+def _two_point_errors(q, p0, p1, theta0, theta1):
+    """Errors of check_two_point_quadratic on arrays of draws, one per draw,
+    and the evaluations each took."""
+    A = q * p0
+    B = (1.0 - q) * p1
+    denom = A + B
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closed = np.where(denom > 0,
+                          (theta1 - theta0) ** 2 * A * B / denom, 0.0)
+        v_analytic = (A * theta0 + B * theta1) / denom
+
+    def g(v, rows):
+        return (A[rows, None] * (v - theta0[rows, None]) ** 2
+                + B[rows, None] * (v - theta1[rows, None]) ** 2)
+
+    v_star, brute, evals = _zoom_min_rows(g, theta0, theta1, 2001)
+    err = np.abs(brute - closed) / np.maximum(np.abs(closed), 1e-30)
+    inside = (theta0 - 1e-12 <= v_star) & (v_star <= theta1 + 1e-12)
+    err = np.where(inside, err, math.inf)
+    drift = np.where(closed > 1e-20,
+                     np.abs(v_star - v_analytic) / (theta1 - theta0), 0.0)
+    return np.where(denom > 0, np.maximum(err, drift), err), evals
+
+
 def check_two_point_quadratic(q: float, p0: float, p1: float,
                               theta0: float, theta1: float) -> CheckReport:
     """Pointwise two-term quadratic risk: the minimum over estimates v of
@@ -147,25 +215,26 @@ def check_two_point_quadratic(q: float, p0: float, p1: float,
     always lies between the two test points."""
     if not (0.0 <= q <= 1.0 and p0 >= 0 and p1 >= 0 and theta0 < theta1):
         raise ValueError("need q in [0,1], nonnegative densities, theta0 < theta1")
-    A = q * p0
-    B = (1.0 - q) * p1
-    denom = A + B
-    closed = (theta1 - theta0) ** 2 * A * B / denom if denom > 0 else 0.0
+    err, evals = _two_point_errors(*_as_rows(q, p0, p1, theta0, theta1))
+    return CheckReport.from_run("two-point-quadratic", err[0], evals[0], 1e-6)
 
-    def g(v):
-        v = np.asarray(v, dtype=float)
-        return A * (v - theta0) ** 2 + B * (v - theta1) ** 2
 
-    v_star, brute, evals = _zoom_min_1d(g, theta0, theta1, 2001)
-    scale = max(abs(closed), 1e-30)
-    err = abs(brute - closed) / scale
-    if not (theta0 - 1e-12 <= v_star <= theta1 + 1e-12):
-        err = math.inf
-    if denom > 0:
-        v_analytic = (A * theta0 + B * theta1) / denom
-        err = max(err, abs(v_star - v_analytic) / (theta1 - theta0)
-                  if closed > 1e-20 else 0.0)
-    return CheckReport.from_run("two-point-quadratic", err, evals, 1e-6)
+def _three_point_errors(a, b, c, theta0, delta):
+    """Errors of check_three_point_quadratic on arrays of draws, one per
+    draw, and the evaluations each took."""
+    total = a + b + c
+    closed = (a * b + b * c + 4.0 * a * c) * delta ** 2 / total
+    v_closed = theta0 + (c - a) * delta / total
+
+    def g(v, rows):
+        x, d = v - theta0[rows, None], delta[rows, None]
+        return (a[rows, None] * (x + d) ** 2 + b[rows, None] * x ** 2
+                + c[rows, None] * (x - d) ** 2)
+
+    v_star, brute, evals = _zoom_min_rows(g, theta0 - delta, theta0 + delta,
+                                          2001)
+    err = np.abs(brute - closed) / np.maximum(np.abs(closed), 1e-30)
+    return np.maximum(err, np.abs(v_star - v_closed) / delta), evals
 
 
 def check_three_point_quadratic(a: float, b: float, c: float,
@@ -178,23 +247,22 @@ def check_three_point_quadratic(a: float, b: float, c: float,
         raise ValueError("weights must be nonnegative and not all zero")
     if not delta > 0:
         raise ValueError("delta must be positive")
-    total = a + b + c
-    closed = (a * b + b * c + 4.0 * a * c) * delta ** 2 / total
-    v_closed = theta0 + (c - a) * delta / total
-
-    def g(v):
-        v = np.asarray(v, dtype=float)
-        return (a * (v - theta0 + delta) ** 2 + b * (v - theta0) ** 2
-                + c * (v - theta0 - delta) ** 2)
-
-    v_star, brute, evals = _zoom_min_1d(g, theta0 - delta, theta0 + delta, 2001)
-    scale = max(abs(closed), 1e-30)
-    err = abs(brute - closed) / scale
-    err = max(err, abs(v_star - v_closed) / delta)
-    return CheckReport.from_run("three-point-quadratic", err, evals, 1e-6)
+    err, evals = _three_point_errors(*_as_rows(a, b, c, theta0, delta))
+    return CheckReport.from_run("three-point-quadratic", err[0], evals[0],
+                                1e-6)
 
 
-def _chain_violation(a: float, b: float, c: float) -> float:
+def _worst_error(errors, draws: np.ndarray) -> float:
+    """The largest of errors(*columns) over the rows of ``draws``, scored
+    ``_CHUNK`` rows at a time."""
+    worst = 0.0
+    for start in range(0, len(draws), _CHUNK):
+        err, _ = errors(*draws[start:start + _CHUNK].T)
+        worst = max(worst, float(np.max(err)))
+    return worst
+
+
+def _chain_violation(a, b, c):
     """Largest violation among the relaxation steps taking the exact
     three-point coefficient down to the split half-min form:
 
@@ -202,18 +270,21 @@ def _chain_violation(a: float, b: float, c: float) -> float:
             >= a(b+2c)/(a+b+2c) + c(b+2a)/(2a+b+c)
             >= [min(a, b+2c) + min(c, b+2a)] / 2
             >= [min(a, b) + min(b, c)] / 2.
+
+    Elementwise on arrays of weights; 0 where all three weights are 0.
     """
+    a, b, c = np.asarray(a, float), np.asarray(b, float), np.asarray(c, float)
     total = a + b + c
-    if total <= 0:
-        return 0.0
-    lhs = (a * b + b * c + 4.0 * a * c) / total
     d1 = a + b + 2.0 * c
     d2 = 2.0 * a + b + c
-    s1 = (a * (b + 2.0 * c) / d1 if d1 > 0 else 0.0) + \
-         (c * (b + 2.0 * a) / d2 if d2 > 0 else 0.0)
-    s2 = 0.5 * (min(a, b + 2.0 * c) + min(c, b + 2.0 * a))
-    s3 = 0.5 * (min(a, b) + min(b, c))
-    return max(s1 - lhs, s2 - s1, s3 - s2, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lhs = (a * b + b * c + 4.0 * a * c) / total
+        s1 = (np.where(d1 > 0, a * (b + 2.0 * c) / d1, 0.0)
+              + np.where(d2 > 0, c * (b + 2.0 * a) / d2, 0.0))
+    s2 = 0.5 * (np.minimum(a, b + 2.0 * c) + np.minimum(c, b + 2.0 * a))
+    s3 = 0.5 * (np.minimum(a, b) + np.minimum(b, c))
+    worst = np.maximum(np.maximum(s1 - lhs, s2 - s1), np.maximum(s3 - s2, 0.0))
+    return np.where(total > 0, worst, 0.0)
 
 
 def check_split_chain(a: float, b: float, c: float) -> CheckReport:
@@ -242,18 +313,23 @@ def check_correlation_expansion() -> CheckReport:
     between the signal at theta = 0.3 and at theta + delta has no linear term
     and curvature set by the derivative energy: (1 - corr(delta))/delta^2 ->
     1/2 here.  Checked numerically: exact self-correlation, vanishing
-    first-order term, and the curvature limit along a shrinking delta grid.
+    first-order term, and the curvature at every offset of a delta grid.
+    The curvature term is (1 - cos delta)/delta^2 = 1/2 - delta^2/24 + ...,
+    an alternating series, so each offset's error is how far the ratio
+    strays from 1/2 beyond the remainder bound delta^2/24.
     """
     theta = 0.3
-    deltas = (0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5)  # smallest first
+    deltas = (0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5)
     err_self = abs(_sinusoid_correlation(theta, 0.0) - 1.0)
 
     h = 1e-4
     deriv = abs(_sinusoid_correlation(theta, h)
                 - _sinusoid_correlation(theta, -h)) / (2.0 * h)
 
-    ratios = [(1.0 - _sinusoid_correlation(theta, d)) / d ** 2 for d in deltas]
-    err_limit = abs(ratios[0] - 0.5)
+    err_limit = max(
+        max(0.0, abs((1.0 - _sinusoid_correlation(theta, d)) / d ** 2 - 0.5)
+            - d ** 2 / 24.0)
+        for d in deltas)
 
     err = max(err_self, deriv if deriv > 1e-8 else 0.0, err_limit)
     return CheckReport.from_run("correlation-expansion", err,
@@ -261,7 +337,9 @@ def check_correlation_expansion() -> CheckReport:
 
 
 def run_default_suite(seed: int = DEFAULT_SUITE_SEED) -> list:
-    """The fixed verification battery the reproduction pipeline runs first."""
+    """The fixed verification battery the reproduction pipeline runs first:
+    2 + 100 simplex checks, 1000 two-point and 1000 three-point quadratic
+    draws, 10 002 split-chain triples and the correlation expansion."""
     rng = np.random.default_rng(seed)
     reports = []
 
@@ -277,33 +355,29 @@ def run_default_suite(seed: int = DEFAULT_SUITE_SEED) -> list:
     reports.append(CheckReport.from_run("simplex-infimum-random", worst, 100,
                                         1e-3))
 
-    worst = 0.0
+    draws = []
     for _ in range(1000):
         q = rng.uniform(0.0, 1.0)
         p0, p1 = rng.uniform(0.0, 2.0, 2)
         t0 = rng.normal()
-        t1 = t0 + rng.uniform(0.1, 3.0)
-        worst = max(worst, check_two_point_quadratic(q, p0, p1, t0, t1)
-                    .max_abs_error)
-    reports.append(CheckReport.from_run("two-point-quadratic-random", worst,
-                                        1000, 1e-6))
+        draws.append((q, p0, p1, t0, t0 + rng.uniform(0.1, 3.0)))
+    reports.append(CheckReport.from_run(
+        "two-point-quadratic-random",
+        _worst_error(_two_point_errors, np.array(draws)), 1000, 1e-6))
 
-    worst = 0.0
+    draws = []
     for _ in range(1000):
         a, b, c = 10.0 * (1.0 - rng.random(3))
-        t0 = rng.normal()
-        delta = rng.uniform(0.1, 2.0)
-        worst = max(worst, check_three_point_quadratic(a, b, c, t0, delta)
-                    .max_abs_error)
-    reports.append(CheckReport.from_run("three-point-quadratic-random", worst,
-                                        1000, 1e-6))
+        draws.append((a, b, c, rng.normal(), rng.uniform(0.1, 2.0)))
+    reports.append(CheckReport.from_run(
+        "three-point-quadratic-random",
+        _worst_error(_three_point_errors, np.array(draws)), 1000, 1e-6))
 
-    worst = max(_chain_violation(1.0, 1.0, 1.0), _chain_violation(1.0, 1.0, 0.0))
-    triples = 10.0 * (1.0 - rng.random((10_000, 3)))
-    for a, b, c in triples:
-        worst = max(worst, _chain_violation(a, b, c))
-    reports.append(CheckReport.from_run("split-chain-random", worst,
-                                        10_002, 1e-12))
+    triples = np.vstack([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0],
+                         10.0 * (1.0 - rng.random((10_000, 3)))])
+    reports.append(CheckReport.from_run(
+        "split-chain-random", float(np.max(_chain_violation(*triples.T))),
+        10_002, 1e-12))
 
     reports.append(check_correlation_expansion())
     return reports

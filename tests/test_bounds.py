@@ -831,6 +831,48 @@ class TestBoundReport:
             rep.reevaluate()
 
 
+def _edge_notes_of(rep):
+    return [note for note in rep.notes if "upper edge" in note]
+
+
+class TestEdgeNotes:
+    """An outer search that returns the upper end of its spacing domain says
+    so in a note; the value and argmax are those of the search."""
+
+    def test_finite_sample_moment_on_the_edge(self):
+        # the one-draw rate MSE grows without bound in delta
+        rep = catalog.compute_bound("exp-rate", "moment", LossSpec.mse(),
+                                    {"n": 1, "theta0": 5.0})
+        assert rep.argmax["delta"] == 20.0
+        assert _edge_notes_of(rep) == [
+            "argmax at the upper edge 20 of the search range [0, 20]; "
+            "the supremum may lie beyond it"]
+
+    def test_local_two_point_on_the_edge(self):
+        rep = catalog.compute_bound("uniform-location", "local-two-point",
+                                    LossSpec.power(50.0), {})
+        assert rep.argmax["s"] == 20.0
+        assert len(_edge_notes_of(rep)) == 1
+        assert "20" in _edge_notes_of(rep)[0]
+
+    def test_interior_argmax_has_no_note(self):
+        rep = catalog.compute_bound("gauss-location", "local-two-point",
+                                    LossSpec.mse(), {})
+        assert rep.argmax["s"] < 20.0
+        assert _edge_notes_of(rep) == []
+
+    def test_three_point_engines_name_their_edge(self, uniform_scale):
+        relaxed = mx.three_point_bound(uniform_scale, s_domain=(0.0, 0.3))
+        exact = mx.three_point_exact_uniform(1.0, s_domain=(0.0, 0.5))
+        assert relaxed.argmax["delta"] == 0.3 and exact.argmax["s"] == 0.5
+        assert "upper edge 0.3 of the search range [0, 0.3]" \
+            in _edge_notes_of(relaxed)[0]
+        assert "upper edge 0.5 of the search range [0, 0.5]" \
+            in _edge_notes_of(exact)[0]
+        assert relaxed.notes[0] == "pair priors free"
+        assert _edge_notes_of(mx.three_point_bound(uniform_scale)) == []
+
+
 def test_reports_reproduce_from_argmax(gauss, uniform_scale, exp_rate,
                                        three_point_gauss_half,
                                        three_point_uniform_free,

@@ -1,10 +1,75 @@
 """The brute-force verification suite itself."""
 
+import ast
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from minimaxlb import verify
+
+VERIFY_SOURCE = os.path.join(os.path.dirname(__file__), os.pardir, "src",
+                             "minimaxlb", "verify.py")
+
+
+def _zoom_min_1d(f, lo, hi, grid):
+    """Reference one-problem scan and zoom: the row search must match it
+    bit for bit.  Returns (argmin, min, evaluations)."""
+    xs = np.linspace(lo, hi, grid)
+    vals = f(xs)
+    i = int(np.argmin(vals))
+    best_x, best_v = float(xs[i]), float(vals[i])
+    evals = grid
+    half = (hi - lo) / (grid - 1)
+    steps = np.linspace(-1.0, 1.0, 13)
+    while half > 1e-13 * max(1.0, abs(lo), abs(hi)):
+        cand = np.clip(best_x + half * steps, lo, hi)
+        vals = f(cand)
+        evals += len(cand)
+        j = int(np.argmin(vals))
+        if vals[j] < best_v:
+            best_v, best_x = float(vals[j]), float(cand[j])
+        half *= 0.35
+    return best_x, best_v, evals
+
+
+def _chain_violation_scalar(a, b, c):
+    """Reference split-chain violation of one triple, in scalar arithmetic."""
+    total = a + b + c
+    if total <= 0:
+        return 0.0
+    lhs = (a * b + b * c + 4.0 * a * c) / total
+    d1 = a + b + 2.0 * c
+    d2 = 2.0 * a + b + c
+    s1 = (a * (b + 2.0 * c) / d1 if d1 > 0 else 0.0) + \
+         (c * (b + 2.0 * a) / d2 if d2 > 0 else 0.0)
+    s2 = 0.5 * (min(a, b + 2.0 * c) + min(c, b + 2.0 * a))
+    s3 = 0.5 * (min(a, b) + min(b, c))
+    return max(s1 - lhs, s2 - s1, s3 - s2, 0.0)
+
+
+def _suite_draws(seed):
+    """The suite's random draws, in the order it takes them from the seed."""
+    rng = np.random.default_rng(seed)
+    simplex = [tuple(10.0 * (1.0 - rng.random(3))) for _ in range(100)]
+    two = []
+    for _ in range(1000):
+        q = rng.uniform(0.0, 1.0)
+        p0, p1 = rng.uniform(0.0, 2.0, 2)
+        t0 = rng.normal()
+        t1 = t0 + rng.uniform(0.1, 3.0)
+        two.append((q, p0, p1, t0, t1))
+    three = []
+    for _ in range(1000):
+        a, b, c = 10.0 * (1.0 - rng.random(3))
+        t0 = rng.normal()
+        delta = rng.uniform(0.1, 2.0)
+        three.append((a, b, c, t0, delta))
+    triples = 10.0 * (1.0 - rng.random((10_000, 3)))
+    return simplex, two, three, triples
 
 
 class TestSimplexInfimum:
@@ -69,6 +134,16 @@ class TestSplitChain:
     def test_violation_function_nonnegative(self):
         assert verify._chain_violation(0.2, 0.7, 0.1) >= 0.0
 
+    def test_arrays_match_scalar_arithmetic(self):
+        rng = np.random.default_rng(3)
+        triples = np.vstack([10.0 * (1.0 - rng.random((2000, 3))),
+                             rng.integers(0, 3, (200, 3)).astype(float),
+                             [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]]])
+        batch = verify._chain_violation(*triples.T)
+        for row, got in zip(triples.tolist(), batch):
+            assert got == _chain_violation_scalar(*row)
+        assert verify._chain_violation(0.0, 0.0, 0.0) == 0.0
+
 
 class TestCorrelationExpansion:
     def test_self_correlation_is_one(self):
@@ -84,6 +159,22 @@ class TestCorrelationExpansion:
     def test_check_passes(self):
         rep = verify.check_correlation_expansion()
         assert rep.passed
+        assert rep.samples == 11 and rep.tolerance == 1e-6
+        # the excess over the Taylor remainder is rounding-level everywhere
+        assert rep.max_abs_error <= 7.5e-11
+
+    def test_every_offset_counts(self, monkeypatch):
+        # (1 - corr)/delta^2 drops by 4e-3 at delta = 0.5 alone, taking it
+        # 3.9e-3 past the remainder bound 0.5^2/24; the smallest offset holds
+        exact = verify._sinusoid_correlation
+
+        def perturbed(theta, delta):
+            return exact(theta, delta) + (1e-3 if delta == 0.5 else 0.0)
+
+        monkeypatch.setattr(verify, "_sinusoid_correlation", perturbed)
+        rep = verify.check_correlation_expansion()
+        assert not rep.passed
+        assert rep.max_abs_error > 1e-3
 
 
 class TestDefaultSuite:
@@ -103,3 +194,121 @@ class TestDefaultSuite:
         a = verify.run_default_suite(seed=5)
         b = verify.run_default_suite(seed=5)
         assert [r.max_abs_error for r in a] == [r.max_abs_error for r in b]
+
+
+class TestRowSearch:
+    def test_rows_match_the_one_problem_search(self):
+        rng = np.random.default_rng(8)
+        m = 45  # more than one chunk, and not a multiple of it
+        lo = rng.normal(size=m) * 10.0 ** rng.integers(-2, 3, m)
+        hi = lo + rng.uniform(0.01, 5.0, m)
+        a, b = rng.uniform(0.0, 3.0, m), rng.normal(size=m)
+        centre = lo + (hi - lo) * rng.uniform(-0.2, 1.2, m)
+
+        def f(x, rows):
+            return a[rows, None] * (x - centre[rows, None]) ** 2 \
+                + b[rows, None] * np.sin(3.0 * x)
+
+        x_rows, v_rows, n_rows = verify._zoom_min_rows(f, lo, hi, 2001)
+        for k in range(m):
+            x, v, n = _zoom_min_1d(lambda x: f(x[None, :], [k])[0],
+                                   float(lo[k]), float(hi[k]), 2001)
+            assert (x_rows[k], v_rows[k], n_rows[k]) == (x, v, n)
+
+    def test_one_row_checks_count_the_scalar_evaluations(self):
+        q, p0, p1, t0, t1 = 0.2, 1.7, 0.4, -1.0, 2.5
+        rep = verify.check_two_point_quadratic(q, p0, p1, t0, t1)
+        A, B = q * p0, (1.0 - q) * p1
+        ref = _zoom_min_1d(lambda v: A * (v - t0) ** 2 + B * (v - t1) ** 2,
+                           t0, t1, 2001)
+        assert rep.samples == ref[2]
+
+        a, b, c, t0, delta = 0.3, 1.1, 0.6, 2.0, 0.4
+        rep = verify.check_three_point_quadratic(a, b, c, t0, delta)
+        ref = _zoom_min_1d(lambda v: a * (v - t0 + delta) ** 2
+                           + b * (v - t0) ** 2 + c * (v - t0 - delta) ** 2,
+                           t0 - delta, t0 + delta, 2001)
+        assert rep.samples == ref[2]
+
+        rep = verify.check_simplex_infimum((1.0, 2.0))
+        ref = _zoom_min_1d(lambda r: np.maximum(1.0 / r, 2.0 / (1.0 - r)),
+                           1e-9, 1.0 - 1e-9, 401)
+        assert rep.samples == ref[2]
+        assert rep.max_abs_error == abs(ref[1] - 3.0) / 3.0
+
+    def test_short_last_chunk(self):
+        _, two, three, _ = _suite_draws(1729)
+        for errors, draws, check in (
+                (verify._two_point_errors, two[:40],
+                 verify.check_two_point_quadratic),
+                (verify._three_point_errors, three[:40],
+                 verify.check_three_point_quadratic)):
+            assert len(draws) % verify._CHUNK != 0
+            singles = [check(*d).max_abs_error for d in draws]
+            assert verify._worst_error(errors, np.array(draws)) == max(singles)
+            batch, _ = errors(*np.array(draws).T)
+            assert batch.tolist() == singles
+
+
+class TestSuiteMatchesScalarChecks:
+    @pytest.mark.parametrize("seed", [1729, 5, 11])
+    def test_batched_reports_equal_the_per_draw_loop(self, seed):
+        simplex, two, three, triples = _suite_draws(seed)
+        exact = max(verify.check_simplex_infimum((1.0, 1.0)).max_abs_error,
+                    verify.check_simplex_infimum((1.0, 2.0, 3.0)).max_abs_error)
+        chain = [verify.check_split_chain(*t).max_abs_error
+                 for t in [(1.0, 1.0, 1.0), (1.0, 1.0, 0.0)] + triples.tolist()]
+        expected = [
+            ("simplex-infimum-exact", exact, 2, 1e-3),
+            ("simplex-infimum-random",
+             max(verify.check_simplex_infimum(a).max_abs_error
+                 for a in simplex), 100, 1e-3),
+            ("two-point-quadratic-random",
+             max(verify.check_two_point_quadratic(*d).max_abs_error
+                 for d in two), 1000, 1e-6),
+            ("three-point-quadratic-random",
+             max(verify.check_three_point_quadratic(*d).max_abs_error
+                 for d in three), 1000, 1e-6),
+            ("split-chain-random", max(chain), 10_002, 1e-12),
+        ]
+        reports = verify.run_default_suite(seed)
+        assert reports[:5] == [verify.CheckReport.from_run(*e)
+                               for e in expected]
+        assert reports[5] == verify.check_correlation_expansion()
+
+    def test_pinned_default_seed_errors(self):
+        by_id = {r.check_id: r for r in verify.run_default_suite(1729)}
+        assert repr(by_id["two-point-quadratic-random"].max_abs_error) \
+            == "7.4983329613428e-09"
+        assert repr(by_id["three-point-quadratic-random"].max_abs_error) \
+            == "1.2324508355333658e-08"
+        assert repr(by_id["simplex-infimum-random"].max_abs_error) \
+            == "7.094787319590379e-14"
+
+
+class TestIndependence:
+    def test_verify_imports_nothing_from_the_engine(self):
+        with open(VERIFY_SOURCE, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        engine = {"bounds", "numerics", "models", "catalog"}
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                if node.level or node.module in ("minimaxlb", None):
+                    imported.update(alias.name for alias in node.names)
+        hits = {name for name in imported
+                if engine & set(name.split("."))}
+        assert not hits, f"verify.py imports engine modules: {sorted(hits)}"
+
+    def test_import_builds_no_simplex_grid(self):
+        src = os.path.join(os.path.dirname(VERIFY_SOURCE), os.pardir)
+        code = ("import minimaxlb; from minimaxlb import verify; "
+                "print(verify._simplex_rows.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120,
+                             check=True)
+        assert out.stdout.strip() == "0"
