@@ -26,9 +26,9 @@ import numpy as np
 
 from .loss import LossSpec, RatePower, eval_rho, omega
 from .models import Model, _separation
-from .numerics import (INV_PHI, INV_PHI2, Interval, gaussian_tail,
-                       integrate_semi_infinite, maximize_1d, maximize_simplex,
-                       maximize_zoom)
+from .numerics import (INV_PHI, INV_PHI2, Interval, _as_interval,
+                       gaussian_tail, integrate_semi_infinite, maximize_1d,
+                       maximize_simplex, maximize_zoom)
 
 __all__ = [
     "BoundReport",
@@ -186,12 +186,7 @@ def _require_pe_pair(model: Model):
 
 
 def _as_domain(domain) -> Interval:
-    if domain is None:
-        return _DEFAULT_S_DOMAIN
-    if isinstance(domain, Interval):
-        return domain
-    lo, hi = domain
-    return Interval(float(lo), float(hi))
+    return _DEFAULT_S_DOMAIN if domain is None else _as_interval(domain)
 
 
 def _pair_risk(pe, a, b):
@@ -785,7 +780,8 @@ def rotation_nuisance_bound(sigma: float = 1.0, s_domain=None) -> BoundReport:
                        rate=RatePower(0.5, 1.0, "n"),
                        argmax={"s": s_star},
                        notes=("three plane rotations, uniform priors; "
-                              "geometry not optimized",),
+                              "geometry not optimized",)
+                       + _edge_notes(s_star, domain),
                        objective=objective)
 
 

@@ -149,6 +149,15 @@ def _flag(params: dict, key: str) -> bool:
     return _FLAGS[text]
 
 
+def _int_param(params: dict, key: str, default: int) -> int:
+    """The integer parameter ``key``: a value with a fractional part is
+    refused, not truncated."""
+    value = float(params.get(key, default))
+    if not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {params[key]!r}")
+    return int(value)
+
+
 def _s_domain(params: dict):
     smax = params.get("smax")
     return None if smax is None else Interval(0.0, float(smax))
@@ -166,7 +175,7 @@ def compute_bound(model_id: str, bound_id: str, loss: LossSpec, params: dict,
     model = models.get_model(model_id, **model_params)
 
     theta = float(params.get("theta", 1.0))
-    n = int(params.get("n", 1))
+    n = _int_param(params, "n", 1)
     # the nested bounds are local unless a sample size is given; then they
     # run on the exact oracle around theta0, which they require
     finite = {} if "n" not in params else {
@@ -220,7 +229,7 @@ def compute_bound(model_id: str, bound_id: str, loss: LossSpec, params: dict,
             tset = bounds.TransformSet.rotations(int(kind.split(":", 1)[1]))
         else:
             raise ValueError(f"unknown transform set: {kind!r}")
-        k = int(params.get("k", max(tset.m // 2, 1)))
+        k = _int_param(params, "k", max(tset.m // 2, 1))
         q = params.get("q")
         return bounds.transform_two_point_bound(
             model, loss, tset, float(params["theta0"]),
@@ -244,7 +253,7 @@ def compute_bound(model_id: str, bound_id: str, loss: LossSpec, params: dict,
         raise ValueError(f"model {model_id!r} has no sampler for mc-pe")
     est = models.monte_carlo_pe(
         model.sampler, float(params.get("q", 0.5)), float(params["theta0"]),
-        float(params["theta1"]), n, int(params.get("trials", 100_000)),
+        float(params["theta1"]), n, _int_param(params, "trials", 100_000),
         DEFAULT_MC_SEED if seed is None else int(seed))
     return bounds.BoundReport(
         bound_id="mc-pe", model_id=model_id, value=est.estimate, loss=loss,

@@ -44,6 +44,9 @@ def _g(x: float) -> str:
     return "%.10g" % x
 
 
+_FLOAT_FLAGS = ("sigma", "theta", "theta0", "theta1", "smax", "q")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minimaxlb",
@@ -64,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
                       default="table")
     comp.add_argument("--seed", type=int, default=None,
                       help="seed for Monte-Carlo computations")
-    for flag in ("sigma", "theta", "theta0", "theta1", "smax", "q"):
+    for flag in _FLOAT_FLAGS:
         comp.add_argument(f"--{flag}", type=float, default=None)
     comp.add_argument("--n", type=int, default=None,
                       help="sample size for finite-sample oracles")
@@ -96,8 +99,7 @@ def _collect_params(args) -> dict:
             raise ValueError(f"--param expects K=V, got {item!r}")
         key, value = item.split("=", 1)
         params[key.strip()] = catalog._coerce(value.strip())
-    for flag in ("sigma", "theta", "theta0", "theta1", "smax", "q",
-                 "n", "trials"):
+    for flag in _FLOAT_FLAGS + ("n", "trials"):
         value = getattr(args, flag)
         if value is not None:
             params[flag] = value

@@ -6,16 +6,17 @@ hand-rolled here on purpose: this module imports nothing from the engine, so
 the checks share no code with the machinery they vouch for.  The
 reproduction pipeline refuses to run if any default check fails.
 
-The 1-D searches are row-wise: ``_zoom_min_rows`` scans and zooms many
-independent problems at once, each row with its own interval and stop rule,
-so the default suite scores its random draws in chunks of ``_CHUNK`` rows
-instead of one Python call per draw, and the public checks are one-row calls
-of the same code.  A row does the same floating-point operations whatever
-batch it sits in, so a draw's error does not depend on how the draws are
-chunked.  For the same reason the objectives divide where the closed forms
-divide (a_i / r_i, not a_i times a cached 1 / r_i): a product with a rounded
-reciprocal can differ from the quotient in the last bit, and such a change
-would move the brute-force minimum a check compares against.
+The searches are row-wise: ``_zoom_rows`` zooms many independent problems
+of one or two coordinates at once, each row with its own box and stop rule,
+so the default suite scores its random draws in batches (the 1-D checks in
+chunks of ``_CHUNK`` rows, the 100 3-D simplex draws together) instead of one
+Python call per draw, and the public checks are one-row calls of the same
+code.  A row does the same floating-point operations whatever batch it sits
+in, so a draw's error does not depend on how the draws are batched.  For the
+same reason the objectives divide where the closed forms divide (a_i / r_i,
+not a_i times a cached 1 / r_i): a product with a rounded reciprocal can
+differ from the quotient in the last bit, and such a change would move the
+brute-force minimum a check compares against.
 """
 
 from __future__ import annotations
@@ -62,41 +63,50 @@ class CheckReport:
 
 
 def _zoom_min_rows(f, lo, hi, grid: int):
-    """Minimize f on each row's interval [lo[k], hi[k]], lo[k] < hi[k]:
-    scan plus shrinking local grids, row by row in one batch.
-
-    Row k scans np.linspace(lo[k], hi[k], grid), then lays 13 points of
-    half-width ``half`` (one scan step at first), clipped to its interval,
-    around its incumbent, which moves only on a strict improvement; half
-    shrinks by 0.35 a round while it exceeds 1e-13 * max(1, |lo[k]|,
-    |hi[k]|), and rows that have stopped drop out of later rounds.
-    f(x, rows) maps a (k, m) array, whose row i holds abscissae of problem
-    rows[i], to values of the same shape; it must compute each value from
-    that row's own parameters only.  Returns the arrays (argmin, min,
-    evaluations), one entry per row.  A row's grid, clipping, comparisons and
-    stop rule use its own numbers alone, so a batch finds bit for bit what
-    one-row calls find.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    """Minimize f(x, rows) on each row's interval [lo[k], hi[k]], lo < hi
+    float arrays: row k scans np.linspace(lo[k], hi[k], grid), then zooms by
+    ``_zoom_rows`` from its best point, the first half-width one scan step.
+    Returns the arrays (argmin, min, evaluations), one entry per row."""
     rows = np.arange(lo.size)
     xs = np.linspace(lo, hi, grid, axis=1)
     vals = f(xs, rows)
     i = np.argmin(vals, axis=1)
-    best_x, best_v = xs[rows, i], vals[rows, i]
-    evals = np.full(lo.size, grid)
-    half = (hi - lo) / (grid - 1)
-    stop = 1e-13 * np.maximum(np.maximum(1.0, np.abs(lo)), np.abs(hi))
-    live = rows[half > stop]
+    best_x, best_v, evals = _zoom_rows(
+        f, xs[rows, i][:, None], vals[rows, i], lo[:, None], hi[:, None],
+        (hi - lo) / (grid - 1), np.full(lo.size, grid))
+    return best_x[:, 0], best_v, evals
+
+
+def _zoom_rows(f, best_x, best_v, lo, hi, half, evals, inside=None):
+    """The zoom rounds of the row searches, updating the arrays in place.
+
+    Row k has an incumbent best_x[k] of d = 1 or 2 coordinates (best_x, lo,
+    hi are (n, d) arrays) and its value best_v[k].  A round lays 13 points
+    per axis of half-width half[k] around it, clipped to the box [lo[k],
+    hi[k]] (for d = 2 every pair, in the order of np.meshgrid(gx, gy).ravel(),
+    x fastest).  The incumbent moves only on a strict improvement; half
+    shrinks by 0.35 a round while it exceeds 1e-13 * max(1, |lo[k]|,
+    |hi[k]|), and stopped rows drop out.  f(*coords, rows) maps d arrays (k,
+    m), whose row i holds points of problem rows[i], to values (k, m) from
+    that row's own parameters only, so a batch finds bit for bit what one-row
+    calls find.  Points where inside(*coords) is False score +inf and are not
+    counted in evals."""
+    stop = 1e-13 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)).max(1))
+    live = np.arange(half.size)[half > stop]
+    n = _ZOOM_STEPS.size
     while live.size:
-        cand = np.clip(best_x[live, None] + half[live, None] * _ZOOM_STEPS,
-                       lo[live, None], hi[live, None])
-        vals = f(cand, live)
-        evals[live] += _ZOOM_STEPS.size
+        g = np.clip(best_x[live, :, None] + half[live, None, None] * _ZOOM_STEPS,
+                    lo[live, :, None], hi[live, :, None])
+        cand = ([g[:, 0]] if g.shape[1] == 1 else
+                [np.tile(g[:, 0], n), np.repeat(g[:, 1], n, axis=1)])
+        vals = f(*cand, live)
+        ok = np.ones(vals.shape, bool) if inside is None else inside(*cand)
+        vals[~ok] = np.inf
+        evals[live] += ok.sum(axis=1)
         at, j = np.arange(live.size), np.argmin(vals, axis=1)
         better = vals[at, j] < best_v[live]
         best_v[live[better]] = vals[at, j][better]
-        best_x[live[better]] = cand[at, j][better]
+        best_x[live[better]] = np.stack([c[at, j] for c in cand], 1)[better]
         half[live] *= 0.35
         live = live[half[live] > stop[live]]
     return best_x, best_v, evals
@@ -122,6 +132,49 @@ def _simplex_rows(d: int):
     return rows, on_edge
 
 
+def _simplex_errors(*a):
+    """Errors of check_simplex_infimum on d = 2 or 3 arrays of masses (a_1
+    of each draw, a_2 of each draw, ...) and the evaluations each draw took.
+    For d = 3 each draw scans the cached grid alone, so one 80 601-point
+    array is alive at a time; then all draws zoom together."""
+    total = sum(a)
+    analytic = np.max([x / (x / total) for x in a], axis=0)
+
+    if len(a) == 2:
+        def f(r, rows):
+            return np.maximum(a[0][rows, None] / r,
+                              a[1][rows, None] / (1.0 - r))
+
+        lo = np.full(len(total), 1e-9)
+        _, best, evals = _zoom_min_rows(f, lo, 1.0 - lo, 401)
+    else:
+        def f(k, q, r, w, on_edge):
+            # 1 - q - r can round to a tiny negative, flipping the ratio's
+            # sign; such points sit on the boundary and must score +inf
+            with np.errstate(divide="ignore"):
+                vals = np.maximum(np.maximum(a[0][k] / q, a[1][k] / r),
+                                  a[2][k] / w)
+            vals[on_edge] = np.inf
+            return vals
+
+        def zoomed(q, r, rows):
+            w = 1.0 - (q + r)
+            on_edge = (q <= 0.0) | (r <= 0.0) | (w <= 0.0)
+            return f(rows[:, None], q, r, w, on_edge)
+
+        grid, on_edge = _simplex_rows(400)
+        i = [np.argmin(f(k, *grid.T, on_edge)) for k in range(len(total))]
+        best_x = grid[i, :2]
+        best = f(np.arange(len(total)), *grid[i].T, on_edge[i])
+        _, best, evals = _zoom_rows(
+            zoomed, best_x, best, np.zeros_like(best_x), np.ones_like(best_x),
+            np.full(len(total), 1.0 / 400), np.full(len(total), len(grid)),
+            inside=lambda q, r: q + r <= 1.0)
+    err = np.maximum(np.abs(best - total) / total,
+                     np.abs(analytic - total) / total)
+    return err, evals
+
+
 def check_simplex_infimum(a: Sequence[float]) -> CheckReport:
     """The infimum over the open probability simplex of max_i a_i / r_i is
     the plain sum of the a_i, attained at r_i = a_i / sum(a).
@@ -134,53 +187,8 @@ def check_simplex_infimum(a: Sequence[float]) -> CheckReport:
         raise ValueError("supported simplex dimensions are 2 and 3")
     if any(x <= 0 for x in a):
         raise ValueError("all components must be positive")
-    total = sum(a)
-
-    r_star = np.array(a) / total
-    analytic = float(np.max(np.array(a) / r_star))
-    err_analytic = abs(analytic - total) / total
-
-    if len(a) == 2:
-        def f(r, _rows):
-            return np.maximum(a[0] / r, a[1] / (1.0 - r))
-
-        _, best, evals = _zoom_min_rows(f, *_as_rows(1e-9, 1.0 - 1e-9), 401)
-        best, evals = best[0], evals[0]
-    else:
-        def f(rows, on_edge):
-            # 1 - q - r can round to a tiny negative, flipping the ratio's
-            # sign; such rows sit on the boundary and must score +inf
-            with np.errstate(divide="ignore"):
-                vals = np.maximum(np.maximum(a[0] / rows[:, 0],
-                                             a[1] / rows[:, 1]),
-                                  a[2] / rows[:, 2])
-            vals[on_edge] = np.inf
-            return vals
-
-        rows, on_edge = _simplex_rows(400)
-        vals = f(rows, on_edge)
-        i = int(np.argmin(vals))
-        best_pt = rows[i, :2].copy()
-        best = float(vals[i])
-        evals = len(rows)
-        half = 1.0 / 400
-        while half > 1e-13:
-            gx = np.clip(best_pt[0] + half * _ZOOM_STEPS, 0.0, 1.0)
-            gy = np.clip(best_pt[1] + half * _ZOOM_STEPS, 0.0, 1.0)
-            xx, yy = np.meshgrid(gx, gy)
-            cand = np.column_stack([xx.ravel(), yy.ravel()])
-            cand = cand[cand.sum(axis=1) <= 1.0]
-            rows = np.column_stack([cand, 1.0 - cand.sum(axis=1)])
-            vals = f(rows, (rows <= 0.0).any(axis=1))
-            evals += len(rows)
-            j = int(np.argmin(vals))
-            if vals[j] < best:
-                best = float(vals[j])
-                best_pt = cand[j].copy()
-            half *= 0.35
-
-    err = max(abs(best - total) / total, err_analytic)
-    return CheckReport.from_run("simplex-infimum", err, evals, 1e-3)
+    err, evals = _simplex_errors(*_as_rows(*a))
+    return CheckReport.from_run("simplex-infimum", err[0], evals[0], 1e-3)
 
 
 def _two_point_errors(q, p0, p1, theta0, theta1):
@@ -348,12 +356,10 @@ def run_default_suite(seed: int = DEFAULT_SUITE_SEED) -> list:
     reports.append(CheckReport.from_run(
         "simplex-infimum-exact", max(r.max_abs_error for r in exact), 2, 1e-3))
 
-    worst = 0.0
-    for _ in range(100):
-        a = 10.0 * (1.0 - rng.random(3))  # components in (0, 10]
-        worst = max(worst, check_simplex_infimum(tuple(a)).max_abs_error)
-    reports.append(CheckReport.from_run("simplex-infimum-random", worst, 100,
-                                        1e-3))
+    masses = 10.0 * (1.0 - rng.random((100, 3)))  # components in (0, 10]
+    err, _ = _simplex_errors(*masses.T)
+    reports.append(CheckReport.from_run("simplex-infimum-random",
+                                        float(np.max(err)), 100, 1e-3))
 
     draws = []
     for _ in range(1000):

@@ -872,6 +872,15 @@ class TestEdgeNotes:
         assert relaxed.notes[0] == "pair priors free"
         assert _edge_notes_of(mx.three_point_bound(uniform_scale)) == []
 
+    def test_nuisance_rotation_names_its_edge(self, nuisance_report):
+        short = mx.rotation_nuisance_bound(s_domain=(0, 1))
+        assert short.argmax["s"] == 1.0
+        assert _edge_notes_of(short) == [
+            "argmax at the upper edge 1 of the search range [0, 1]; "
+            "the supremum may lie beyond it"]
+        assert nuisance_report.argmax["s"] < 6.0
+        assert _edge_notes_of(nuisance_report) == []
+
 
 def test_reports_reproduce_from_argmax(gauss, uniform_scale, exp_rate,
                                        three_point_gauss_half,

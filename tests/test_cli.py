@@ -200,6 +200,31 @@ class TestCompute:
         assert any("pinned" in note for note in payload["notes"]) == pinned
         assert (payload["argmax"]["w"] == 0.0) == pinned
 
+    def test_integer_parameters_are_not_truncated(self, capsys):
+        args = ("compute", "--model", "gauss-location", "--bound",
+                "two-point", "--theta0", "0", "--theta1", "1")
+        rc, _, err = run_cli(capsys, *args, "--param", "n=2.5")
+        assert rc == 2
+        assert "n must be an integer, got 2.5" in err
+        rc, out, _ = run_cli(capsys, *args, "--param", "n=2",
+                             "--format", "json")
+        assert rc == 0
+        assert json.loads(out)["value"] == json.loads(
+            run_cli(capsys, *args, "--n", "2", "--format", "json")[1])["value"]
+        rc, _, err = run_cli(capsys, "compute", "--model", "gauss-location",
+                             "--bound", "transform", "--theta0", "0",
+                             "--theta1", "1", "--param", "k=0.5")
+        assert rc == 2 and "k must be an integer" in err
+
+    def test_trials_in_exponent_notation(self, capsys):
+        rc, out, _ = run_cli(capsys, "compute", "--model", "gauss-location",
+                             "--bound", "mc-pe", "--theta0", "0", "--theta1",
+                             "1", "--param", "trials=1e5", "--seed", "7",
+                             "--format", "json")
+        assert rc == 0
+        assert any("at 100000 trials" in note
+                   for note in json.loads(out)["notes"])
+
     def test_w_zero_rejects_other_words(self, capsys):
         rc, _, err = run_cli(capsys, "compute", "--model", "gauss-location",
                              "--bound", "three-point", "--param", "inner=half",

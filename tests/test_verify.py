@@ -36,6 +36,57 @@ def _zoom_min_1d(f, lo, hi, grid):
     return best_x, best_v, evals
 
 
+def _zoom_unit_square(f, pt, best, half, inside):
+    """Reference zoom of one 2-D problem in the unit square: a clipped
+    13 x 13 stencil in np.meshgrid order (x fastest) around the incumbent,
+    keeping only the points where inside(points) holds.  Returns (point,
+    min, evaluations) after the scan's start."""
+    steps = np.linspace(-1.0, 1.0, 13)
+    evals = 0
+    while half > 1e-13:
+        gx = np.clip(pt[0] + half * steps, 0.0, 1.0)
+        gy = np.clip(pt[1] + half * steps, 0.0, 1.0)
+        xx, yy = np.meshgrid(gx, gy)
+        cand = np.column_stack([xx.ravel(), yy.ravel()])
+        cand = cand[inside(cand)]
+        vals = f(cand)
+        evals += len(cand)
+        j = int(np.argmin(vals))
+        if vals[j] < best:
+            best, pt = float(vals[j]), cand[j].copy()
+        half *= 0.35
+    return pt, best, evals
+
+
+def _simplex_min_3d(a):
+    """Reference 3-D simplex check of one draw: scan the step-1/400 grid,
+    then zoom on the points (q, r) with q + r <= 1.  Returns (error,
+    evaluations)."""
+    total = sum(a)
+    r_star = np.array(a) / total
+    err_analytic = abs(float(np.max(np.array(a) / r_star)) - total) / total
+
+    def f(rows):
+        # boundary rows, and rows whose 1 - q - r rounds negative, score inf
+        with np.errstate(divide="ignore"):
+            vals = np.maximum(np.maximum(a[0] / rows[:, 0], a[1] / rows[:, 1]),
+                              a[2] / rows[:, 2])
+        vals[(rows <= 0.0).any(axis=1)] = np.inf
+        return vals
+
+    ii, jj = np.meshgrid(np.arange(401), np.arange(401))
+    keep = ii + jj <= 400
+    q, r = ii[keep] / 400, jj[keep] / 400
+    rows = np.column_stack([q, r, 1.0 - q - r])
+    vals = f(rows)
+    i = int(np.argmin(vals))
+    _, best, evals = _zoom_unit_square(
+        lambda c: f(np.column_stack([c, 1.0 - c.sum(axis=1)])),
+        rows[i, :2].copy(), float(vals[i]), 1.0 / 400,
+        lambda c: c.sum(axis=1) <= 1.0)
+    return max(abs(best - total) / total, err_analytic), len(rows) + evals
+
+
 def _chain_violation_scalar(a, b, c):
     """Reference split-chain violation of one triple, in scalar arithmetic."""
     total = a + b + c
@@ -82,6 +133,16 @@ class TestSimplexInfimum:
         # worst-case weighted ratio bottoms out at the proportional split
         rep = verify.check_simplex_infimum((1.0, 2.0, 3.0))
         assert rep.passed
+        assert (rep.max_abs_error, rep.samples) == (0.0, 84488)
+        assert (rep.max_abs_error, rep.samples) \
+            == _simplex_min_3d((1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("seed", [1729, 5, 11, 2024, 77])
+    def test_suite_draws_match_the_one_draw_search(self, seed):
+        simplex = np.array(_suite_draws(seed)[0])
+        err, evals = verify._simplex_errors(*simplex.T)
+        ref = [_simplex_min_3d(tuple(a)) for a in simplex.tolist()]
+        assert list(zip(err.tolist(), evals.tolist())) == ref
 
     def test_rejects_unsupported_dimension(self):
         with pytest.raises(ValueError):
@@ -214,6 +275,34 @@ class TestRowSearch:
             x, v, n = _zoom_min_1d(lambda x: f(x[None, :], [k])[0],
                                    float(lo[k]), float(hi[k]), 2001)
             assert (x_rows[k], v_rows[k], n_rows[k]) == (x, v, n)
+
+    def test_two_coordinate_rows_match_the_one_problem_zoom(self):
+        # a staircase in x + y ties along anti-diagonals of the stencil, so
+        # which tied point wins, and with it the path, depends on its order
+        rng = np.random.default_rng(12)
+        m = 40
+        level = rng.integers(0, 15, m).astype(float)
+        start = rng.uniform(0.0, 0.5, (m, 2))
+
+        def f(x, y, rows):
+            return np.abs(np.floor(8.0 * x) + np.floor(8.0 * y)
+                          - level[rows, None])
+
+        def inside(x, y):
+            return x + y <= 1.0
+
+        best = f(start[:, :1], start[:, 1:], np.arange(m))[:, 0]
+        x_rows, v_rows, n_rows = verify._zoom_rows(
+            f, start.copy(), best.copy(), np.zeros((m, 2)), np.ones((m, 2)),
+            np.full(m, 1.0 / 16), np.zeros(m, dtype=int), inside)
+        assert n_rows.min() < n_rows.max()  # some stencils leave the region
+        for k in range(m):
+            pt, v, n = _zoom_unit_square(
+                lambda c: f(c[None, :, 0], c[None, :, 1], [k])[0],
+                start[k].copy(), float(best[k]), 1.0 / 16,
+                lambda c: inside(c[:, 0], c[:, 1]))
+            assert (x_rows[k].tolist(), v_rows[k], n_rows[k]) \
+                == (pt.tolist(), v, n)
 
     def test_one_row_checks_count_the_scalar_evaluations(self):
         q, p0, p1, t0, t1 = 0.2, 1.7, 0.4, -1.0, 2.5
