@@ -14,6 +14,10 @@ Conventions shared by all engines:
 * every report carries the argmax of its search and an ``objective`` closure;
   re-evaluating the closure at the argmax reproduces the reported value;
 * local engines report the rate zeta = v^(t*gamma) alongside the value.
+
+The nested engines (moment, three-point, three-point-exact) solve their inner
+search at all outer grid spacings in lockstep, then refine by one joint zoom
+over the spacing and the inner coordinates (_nested_max).
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ import numpy as np
 from .loss import LossSpec, RatePower, eval_rho, omega
 from .models import Model, _separation
 from .numerics import (INV_PHI, INV_PHI2, Interval, _as_interval,
-                       gaussian_tail, integrate_semi_infinite, maximize_1d,
-                       maximize_simplex, maximize_zoom)
+                       _lift_simplex2, _lift_simplex3, gaussian_tail,
+                       integrate_semi_infinite, maximize_1d, maximize_simplex,
+                       maximize_zoom)
 
 __all__ = [
     "BoundReport",
@@ -48,9 +53,12 @@ __all__ = [
 ]
 
 _DEFAULT_S_DOMAIN = Interval(0.0, 20.0)
-# outer grid of the nested bounds: each cell costs one full inner solve, and
-# golden-section refinement recovers what a coarser scan misses
+# outer grid of the nested bounds: its 65 spacings are solved in lockstep,
+# _NESTED_SLICE to a row batch of the inner search (the Gaussian split of a
+# (65, 1025) batch peaks 7 MB above import, of a (13, 1025) one 2 MB), and
+# a joint zoom over spacing and inner coordinates refines the best
 _NESTED_CELLS = 64
+_NESTED_SLICE = 13
 
 
 @dataclass(frozen=True)
@@ -202,28 +210,32 @@ def _pair_risk(pe, a, b):
 
 def _vec_max_01(fvec):
     """Maximize a vectorized scalar function on [0, 1] by a 1025-point scan
-    plus zoom; returns (argmax, value)."""
-    opt = maximize_zoom(lambda x: fvec(x[:, 0]),
+    plus zoom; returns (argmax, value).  A batch front end as well: an fvec
+    that maps the shared (m,) scan to (B, m) values solves B problems in
+    lockstep (see maximize_zoom), and argmax and value are (B,) arrays."""
+    opt = maximize_zoom(lambda x: fvec(x[..., 0]),
                         np.linspace(0.0, 1.0, 1025)[:, None], 1.0 / 1024, 1e-12)
     return opt.argmax[0], opt.value
 
 
 def _max_box2(fvec):
     """Maximize a vectorized function over [0,1]^2 by a 65 x 65 scan plus
-    zoom; fvec maps (m,2) -> (m,).  Returns ((x, y), value)."""
+    zoom; fvec maps (m,2) -> (m,).  Returns ((x, y), value).  A batch front
+    end as well, like _vec_max_01: then x, y and value are (B,) arrays."""
     xx, yy = np.meshgrid(np.linspace(0.0, 1.0, 65), np.linspace(0.0, 1.0, 65))
     opt = maximize_zoom(fvec, np.column_stack([xx.ravel(), yy.ravel()]),
                         1.0 / 64, 1e-12)
     return opt.argmax, opt.value
 
 
-def _rowwise_max_01(f, k: int):
+def _rowwise_max_01(f, k):
     """Row-parallel maximization on [0,1].
 
-    f maps a (k,) vector of abscissas (one per row) to (k,) values.  Scan a
-    shared 17-point grid, then run 60 golden-section steps on per-row
-    brackets, all rows in lockstep.  Assumes row objectives are unimodal
-    (true for the pair splits searched here: G((1-u)a, u*b) is concave in u).
+    f maps an array of abscissas of shape k (one per row) to values of that
+    shape.  Scan a shared 17-point grid, then run 60 golden-section steps on
+    per-row brackets, all rows in lockstep.  Assumes row objectives are
+    unimodal (true for the pair splits searched here: G((1-u)a, u*b) is
+    concave in u).
     """
     us = np.linspace(0.0, 1.0, 17)
     best_v = np.asarray(f(np.full(k, us[0])), dtype=float)
@@ -256,13 +268,11 @@ def _searched_split(pe):
     """split(lo, hi, a, b) for a pair source without an exact one: the
     maximum over u of G((1-u)a, u*b), searched row by row."""
     def split(lo, hi, a, b):
-        a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
-                                   np.asarray(b, dtype=float))
-        flat_a, flat_b = a.ravel(), b.ravel()
-        u, value = _rowwise_max_01(
+        shape = np.broadcast_shapes(np.shape(lo), np.shape(hi), np.shape(a),
+                                    np.shape(b))
+        return _rowwise_max_01(
             lambda u: _pair_risk(lambda c: pe(lo, hi, c),
-                                 (1.0 - u) * flat_a, u * flat_b), a.size)
-        return u.reshape(a.shape), value.reshape(a.shape)
+                                 (1.0 - u) * a, u * b), shape)
     return split
 
 
@@ -272,10 +282,11 @@ def _pair_source(model: Model, theta: float, n: Optional[int],
 
     Returns pe(lo, hi, c), the pair error with prior c on lo, and
     split(lo, hi, a, b), the pair's exact split as in
-    LocalErrorLimit.pair_split, or None where the source has none.  Without
-    ``n`` the source is the model's local limit at theta, with offsets in
+    LocalErrorLimit.pair_split, or None where the source has none.  The
+    offsets may be arrays, broadcast against c (or a and b).  Without ``n``
+    the source is the model's local limit at theta, with offsets in
     contraction units; with ``n`` it is the exact oracle for the test points
-    theta0 + lo and theta0 + hi.
+    theta0 + lo and theta0 + hi, called once per distinct pair of offsets.
     """
     if n is None:
         pe_pair = _require_pe_pair(model)
@@ -294,13 +305,28 @@ def _pair_source(model: Model, theta: float, n: Optional[int],
         raise ValueError(f"finite-sample {bound} bound needs theta0 inside "
                          f"the parameter space ({space.lo:g}, {space.hi:g})")
 
-    def pe(lo, hi, c):
-        return oracle.pe(c, theta0 + lo, theta0 + hi, n)
+    def per_spacing(fn):
+        # the oracle takes scalar test points: call fn(theta_lo, theta_hi,
+        # *args) -> (at most two arrays) once per distinct (lo, hi)
+        def call(lo, hi, *args):
+            lo, hi = np.broadcast_arrays(lo, hi)
+            keys, which = np.unique(np.stack([lo.ravel(), hi.ravel()], -1),
+                                    axis=0, return_inverse=True)
+            which, *args = np.broadcast_arrays(which.reshape(lo.shape), *args)
+            outs = [np.empty(which.shape), np.empty(which.shape)]
+            for i, (l, h) in enumerate(keys):
+                sel = which == i
+                for out, part in zip(outs, fn(theta0 + l, theta0 + h,
+                                              *(x[sel] for x in args))):
+                    out[sel] = part
+            return outs
+        return call
 
-    def split(lo, hi, a, b):
-        return oracle.pair_split(a, b, theta0 + lo, theta0 + hi, n)
-
-    return pe, None if oracle.pair_split is None else split
+    pe = per_spacing(lambda t0, t1, c: (oracle.pe(c, t0, t1, n),))
+    split = per_spacing(
+        lambda t0, t1, a, b: oracle.pair_split(a, b, t0, t1, n))
+    return ((lambda lo, hi, c: pe(lo, hi, c)[0]),
+            None if oracle.pair_split is None else split)
 
 
 def _edge_notes(x: float, domain: Interval) -> tuple:
@@ -313,14 +339,43 @@ def _edge_notes(x: float, domain: Interval) -> tuple:
             f"[{domain.lo:g}, {domain.hi:g}]; the supremum may lie beyond it",)
 
 
-def _nested_max(inner, domain: Interval):
-    """Outer search of a nested bound.  inner(x) -> (argmax, value) solves
-    the inner problem at outer coordinate x; maximize its value over the
-    domain on the coarse nested grid, then solve once more at the winner.
-    Returns (x*, inner argmax at x*)."""
-    opt = maximize_1d(lambda x: inner(x)[1], domain, cells=_NESTED_CELLS)
-    x_star = opt.argmax[0]
-    return x_star, inner(x_star)[0]
+def _nested_max(joint, domain: Interval, solve=None, simplex=None):
+    """Outer search of a nested bound: joint(x, *row) is the objective at
+    spacings x and inner rows (as columns), broadcast together.  solve(xs)
+    solves the inner problem at every grid spacing at once, one row batch of
+    a front end, and returns (argmax rows as columns, values); ``simplex`` =
+    dim makes maximize_simplex the front end, and with neither joint takes
+    no row.  The best grid spacing seeds one joint zoom over (spacing, inner
+    coordinates), a simplex row's last weight derived.  Returns (x*, row).
+    """
+    if simplex:
+        def solve(xs):
+            opt = maximize_simplex(lambda rows: joint(
+                xs[:, None], *np.moveaxis(rows, -1, 0)), simplex)
+            return opt.argmax, opt.value
+    solve = solve or (lambda xs: ((), joint(xs)))
+    lift = {2: _lift_simplex2, 3: _lift_simplex3}.get(simplex)
+    lo, hi = domain.lo, domain.hi
+
+    def spacing(t):
+        return np.where(t < 1.0, np.minimum(lo + t * (hi - lo), hi), hi)
+
+    def joint_lift(p):
+        inner, inside = ((p[..., 1:], None) if lift is None
+                         else lift(p[..., 1:]))
+        return np.concatenate([spacing(p[..., :1]), inner], axis=-1), inside
+
+    grid = np.linspace(0.0, 1.0, _NESTED_CELLS + 1)
+    parts = [solve(spacing(grid[i:i + _NESTED_SLICE]))
+             for i in range(0, len(grid), _NESTED_SLICE)]
+    row = [np.concatenate(c) for c in zip(*(p[0] for p in parts))]
+    values = np.concatenate([p[1] for p in parts])
+    best = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
+    coords = [c[best] for c in row[:len(row) - (lift is not None)]]
+    opt = maximize_zoom(lambda rows: joint(*rows.T),
+                        np.array([[grid[best], *coords]]),
+                        1.0 / _NESTED_CELLS, 1e-12, joint_lift)
+    return opt.argmax[0], opt.argmax[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -441,42 +496,49 @@ def moment_two_point_bound(model: Model, t: float, theta: float = 1.0,
     At r = 1/2, t = 2 the objective collapses to the plain two-point MSE
     objective.  Without ``n`` the bound is local: delta is the separation in
     contraction units and P_e is the model's fixed-prior limit.  For each r
-    the best q is the pair split of the source; a source without one has
-    (q, r) searched together.
+    the best q is the pair split of the source (searched where it has none).
+    The outer grid is ranked by a search of r with q from an exact split,
+    else of q with r fixed, else of the (q, r) box; the joint zoom runs over
+    delta and r with q from the split, since a searched q would stall on the
+    kink of a min-form pair error.
     """
     if t < 1.0:
         raise ValueError("moment bound needs t >= 1")
     loss = LossSpec.power(t)
     domain = _as_domain(s_domain)
-    pe, split = _pair_source(model, theta, n, theta0, "moment")
+    pe, exact_split = _pair_source(model, theta, n, theta0, "moment")
+    split = exact_split or _searched_split(pe)
 
-    def rows_value(delta: float, qr: np.ndarray) -> np.ndarray:
-        q = qr[:, 0]
-        r = qr[:, 1]
+    def rows_value(delta, q, r):
         return delta ** t * _pair_risk(lambda c: pe(0.0, delta, c),
                                        (1.0 - r) ** (t - 1.0) * q,
                                        r ** (t - 1.0) * (1.0 - q))
 
-    def split_at(delta: float, r):
+    def split_at(delta, r):
         # for a fixed r the best q is the pair split of the masses
         # a = (1-r)^(t-1), b = r^(t-1), with q = 1 - u
         return split(0.0, delta, (1.0 - r) ** (t - 1.0), r ** (t - 1.0))
 
-    def inner(delta: float):
-        if r_fixed is not None:
-            qs, val = _vec_max_01(
-                lambda q: rows_value(delta, np.column_stack(
-                    [q, np.full_like(q, r_fixed)])))
-            return (qs, float(r_fixed)), val
-        if split is None:
-            return _max_box2(lambda qr: rows_value(delta, qr))
-        r, val = _vec_max_01(lambda r: delta ** t * split_at(delta, r)[1])
-        return (1.0 - float(split_at(delta, r)[0]), r), val
+    def joint(delta, r=r_fixed):
+        return delta ** t * split_at(delta, r)[1]
 
-    d_star, (q_star, r_star) = _nested_max(inner, domain)
+    def solve(xs):
+        if r_fixed is not None:
+            return (), _vec_max_01(
+                lambda q: rows_value(xs[:, None], q, r_fixed))[1]
+        if exact_split is None:
+            (_, r), val = _max_box2(lambda qr: rows_value(
+                xs[:, None], qr[..., 0], qr[..., 1]))
+            return (r,), val
+        r, val = _vec_max_01(lambda r: joint(xs[:, None], r))
+        return (r,), val
+
+    d_star, row = _nested_max(joint, domain, solve)
+    r_star = float(r_fixed) if r_fixed is not None else row[0]
+    q_star = 1.0 - float(split_at(d_star, r_star)[0])
 
     def objective(delta: float, q: float, r: float) -> float:
-        return float(rows_value(delta, np.array([[q, r]]))[0])
+        return float(rows_value(delta, q, r))
 
     rate = model.limit.rate.with_power_loss(t) if n is None else None
     notes = () if r_fixed is None else (f"loss split r frozen at {r_fixed:g}",)
@@ -491,39 +553,39 @@ def moment_two_point_bound(model: Model, t: float, theta: float = 1.0,
 # ---------------------------------------------------------------------------
 # three-point MSE bounds
 
-def _half_row(a: float, b: float, w_zero: bool):
+def _half_row(a, b, w_zero: bool):
     """The simplex row (q, r, w) that maximizes the concave factor
-    a*qr/(q+r) + b*rw/(r+w), a, b >= 0, with w = 0 if ``w_zero``.  For
-    1/4 < b/a < 4 it is proportional to (1/alpha - 1, 1, x^2/alpha - 1),
-    x = (b/a)^(1/4) and alpha = 1 + x^2 - sqrt(2)*x (b/a stays finite where
-    a*b underflows); past 1/4 (or 4) it is (1/2, 1/2, 0) (or (0, 1/2, 1/2))."""
-    if w_zero or a >= 4.0 * b:
-        return 0.5, 0.5, 0.0
-    if b >= 4.0 * a:
-        return 0.0, 0.5, 0.5
-    x2 = math.sqrt(b / a)
-    alpha = 1.0 + x2 - math.sqrt(2.0 * x2)
+    a*qr/(q+r) + b*rw/(r+w), a, b >= 0, with w = 0 if ``w_zero``,
+    elementwise over arrays a, b.  For 1/4 < b/a < 4 it is proportional to
+    (1/alpha - 1, 1, x^2/alpha - 1), x = (b/a)^(1/4) and
+    alpha = 1 + x^2 - sqrt(2)*x (b/a stays finite where a*b underflows); past
+    1/4 (or 4) it is (1/2, 1/2, 0) (or (0, 1/2, 1/2))."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    left = (a >= 4.0 * b) | w_zero
+    right = ~left & (b >= 4.0 * a)
+    mid = ~(left | right)
+    x2 = np.sqrt(np.where(mid, b, 1.0) / np.where(mid, a, 1.0))
+    alpha = 1.0 + x2 - np.sqrt(2.0 * x2)
     q, w = 1.0 / alpha - 1.0, x2 / alpha - 1.0
     total = q + 1.0 + w
-    return q / total, 1.0 / total, w / total
+    return (np.where(mid, q / total, np.where(left, 0.5, 0.0)),
+            np.where(mid, 1.0 / total, 0.5),
+            np.where(mid, w / total, np.where(left, 0.0, 0.5)))
 
 
 def _three_point_engine(pe, split, domain: Interval, inner_prior: str,
                         w_zero: bool):
     """Shared search for the three-point relaxed bound.
 
-    Test points at offsets -delta, 0, +delta carry simplex weights (q, r, w).
-    Each flank pair is reduced to a binary problem whose inner prior split is
-    either optimized freely (u, v in [0,1]) or pinned to the half-prior choice
-    u = q/(q+r), v = w/(w+r).
-
-    pe(lo, hi, c) is the error of the pair at offsets lo < hi with prior c on
-    lo, and split(lo, hi, a, b) that pair's best free split of the masses a
-    (on lo) and b, as LocalErrorLimit.pair_split.  Free mode scores each
-    simplex row by the two splits, so it searches delta and the row but no
-    pair prior.  Pinned splits make the objective delta^2 * (A qr/(q+r) +
-    B rw/(r+w)), A and B twice the flank errors at prior 1/2, whose best row
-    _half_row solves: half mode searches delta alone.
+    Test points at offsets -delta, 0, +delta carry simplex weights (q, r, w),
+    and each flank pair is a binary problem.  pe(lo, hi, c) is the error of
+    the pair at offsets lo < hi with prior c on lo, and split(lo, hi, a, b)
+    its best split of the masses a (on lo) and b, as
+    LocalErrorLimit.pair_split.  Free mode scores each row by the two
+    splits.  Half mode pins them to u = q/(q+r), v = w/(w+r), which makes the
+    objective delta^2 * (A qr/(q+r) + B rw/(r+w)), A and B twice the flank
+    errors at prior 1/2, whose best row _half_row solves: it searches delta
+    alone.
     """
 
     def objective(delta, q, r, w, u, v):
@@ -531,32 +593,27 @@ def _three_point_engine(pe, split, domain: Interval, inner_prior: str,
             _pair_risk(lambda c: pe(-delta, 0.0, c), (1.0 - u) * q, u * r)
             + _pair_risk(lambda c: pe(0.0, delta, c), v * r, (1.0 - v) * w)))
 
-    def inner(delta: float):
-        """The best simplex row and pair splits at delta, and their value."""
-        if inner_prior == "half":
-            pe_l = 2.0 * float(pe(-delta, 0.0, 0.5))
-            pe_r = 2.0 * float(pe(0.0, delta, 0.5))
-            q, r, w = _half_row(pe_l, pe_r, w_zero)
-            u, v = q / (q + r), w / (r + w)
-            return (q, r, w, u, v), delta ** 2 * r * (pe_l * u + pe_r * v)
+    def pinned(delta):
+        # both flank errors at prior 1/2, doubled, and their best row
+        pe_l, pe_r = 2.0 * pe(-delta, 0.0, 0.5), 2.0 * pe(0.0, delta, 0.5)
+        q, r, w = _half_row(pe_l, pe_r, w_zero)
+        value = delta ** 2 * r * (pe_l * (q / (q + r)) + pe_r * (w / (r + w)))
+        return value, (q, r, w)
 
-        def batch(rows: np.ndarray) -> np.ndarray:
-            q, r, w = rows[:, 0], rows[:, 1], rows[:, 2]
-            return delta ** 2 * (split(-delta, 0.0, q, r)[1]
-                                 + split(0.0, delta, r, w)[1])
+    def free(delta, q, r, w=0.0):
+        return delta ** 2 * (split(-delta, 0.0, q, r)[1]
+                             + split(0.0, delta, r, w)[1])
 
-        if w_zero:
-            opt = maximize_simplex(
-                lambda x: batch(np.column_stack([x, np.zeros(len(x))])), dim=2)
-            q, r, w = (*opt.argmax, 0.0)
-        else:
-            q, r, w = maximize_simplex(batch, dim=3).argmax
+    if inner_prior == "half":
+        d_star, _ = _nested_max(lambda delta: pinned(delta)[0], domain)
+        q, r, w = (float(x) for x in pinned(d_star)[1])
+        u, v = q / (q + r), w / (r + w)
+    else:
+        d_star, row = _nested_max(free, domain, simplex=2 if w_zero else 3)
+        q, r, w = (*row, 0.0) if w_zero else row
         # the right pair is G(v*r, (1-v)*w): v is one minus the split of (r, w)
-        u = float(split(-delta, 0.0, q, r)[0])
-        v = 1.0 - float(split(0.0, delta, r, w)[0])
-        return (q, r, w, u, v), objective(delta, q, r, w, u, v)
-
-    d_star, (q, r, w, u, v) = _nested_max(inner, domain)
+        u = float(split(-d_star, 0.0, q, r)[0])
+        v = 1.0 - float(split(0.0, d_star, r, w)[0])
     argmax = {"delta": d_star, "q": q, "r": r, "w": w, "u": u, "v": v}
     return argmax, objective
 
@@ -616,9 +673,8 @@ def three_point_exact_uniform(theta0: float = 1.0, s_domain=None) -> BoundReport
         raise ValueError("theta0 must be positive")
     domain = _as_domain(s_domain)
 
-    def rows_value(s: float, rows: np.ndarray) -> np.ndarray:
-        q, r, w = rows[:, 0], rows[:, 1], rows[:, 2]
-        es = math.exp(s)
+    def rows_value(s, q, r, w):
+        es = np.exp(s)
         den1 = q * es * es + r * es + w
         t1 = np.where(den1 > 0.0,
                       (q * r * es + 4.0 * q * w + r * w / es)
@@ -629,14 +685,10 @@ def three_point_exact_uniform(theta0: float = 1.0, s_domain=None) -> BoundReport
                       0.0)
         return s * s * (t1 + t2)
 
-    def inner(s: float):
-        opt = maximize_simplex(lambda rows: rows_value(s, rows), dim=3)
-        return opt.argmax, opt.value
-
-    s_star, (q, r, w) = _nested_max(inner, domain)
+    s_star, (q, r, w) = _nested_max(rows_value, domain, simplex=3)
 
     def objective(s, q, r, w):
-        return theta0 ** 2 * float(rows_value(s, np.array([[q, r, w]]))[0])
+        return theta0 ** 2 * float(rows_value(s, q, r, w))
 
     rate = RatePower(1.0, 2.0, "n")
     argmax = {"s": s_star, "q": q, "r": r, "w": w}

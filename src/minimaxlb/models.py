@@ -140,20 +140,32 @@ def binary_gaussian_error(q, d):
 
     The likelihood-ratio threshold sits at d/2 - ln((1-q)/q)/d from the first
     mean, giving q*Q(d/2 - L/d) + (1-q)*Q(d/2 + L/d) with L = ln((1-q)/q).
-    Symmetric in q <-> 1-q; d = 0 degenerates to min{q, 1-q}.
+    Symmetric in q <-> 1-q; d = 0 degenerates to min{q, 1-q}.  d may be an
+    array, broadcast against q.
     """
     q = np.asarray(q, dtype=float)
-    d = float(d)
-    if not d >= 0:
-        raise ValueError("distance must be nonnegative")
-    if d == 0.0:
+    d = _distance(d)
+    if isinstance(d, float) and d == 0.0:
         return _min_form_pe(1.0, 1.0, q)
+    ds = d if isinstance(d, float) else np.where(d > 0.0, d, 1.0)
     interior = (q > 0.0) & (q < 1.0)
     qs = np.where(interior, q, 0.5)
     L = np.log((1.0 - qs) / qs)
-    pe = qs * gaussian_tail(d / 2.0 - L / d) + (1.0 - qs) * gaussian_tail(d / 2.0 + L / d)
+    pe = qs * gaussian_tail(ds / 2.0 - L / ds) + (1.0 - qs) * gaussian_tail(ds / 2.0 + L / ds)
     out = np.where(interior, pe, 0.0)
+    if not isinstance(d, float):
+        out = np.where(d > 0.0, out, _min_form_pe(1.0, 1.0, q))
     return float(out) if out.ndim == 0 else out
+
+
+def _distance(d):
+    """A pair distance as a float, or as a float array if it has axes;
+    ValueError if any element is negative or NaN."""
+    array = isinstance(d, np.ndarray) and d.ndim > 0
+    d = d.astype(float, copy=False) if array else float(d)
+    if not (np.all(d >= 0.0) if array else d >= 0.0):
+        raise ValueError("distance must be nonnegative")
+    return d
 
 
 def _min_form_pe(A, B, q):
@@ -193,12 +205,12 @@ def binary_gaussian_split(a, b, d):
     f(x) = ln(a/b) + ln Q(x) - ln Q(d - x) is found in log space by Newton
     steps kept inside a bisection bracket.  Then value = a*Q(x*) and
     u = expit(d*(d/2 - x*) + ln(a/b)).  d = 0 is the min-form case
-    G(x, y) = min{x, y}.  Value 0 (and u = 1/2) where a or b is 0.
+    G(x, y) = min{x, y}.  Value 0 (and u = 1/2) where a or b is 0.  d may
+    be an array, broadcast against a and b; each element stops its Newton
+    steps when it converges, so an element equals its own scalar call.
     """
-    d = float(d)
-    if not d >= 0:
-        raise ValueError("distance must be nonnegative")
-    if d == 0.0:
+    d = _distance(d)
+    if isinstance(d, float) and d == 0.0:
         return _min_form_split(1.0, 1.0, a, b)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -212,10 +224,11 @@ def binary_gaussian_split(a, b, d):
     # f' = -(h(x) + h(d - x)) with h the normal hazard, which is positive and
     # increasing, so |f'| >= h(d/2) and the root lies within
     # |ln(a/b)| / h(d/2) of d/2, on the side of ln(a/b)'s sign.
-    h_mid = float(hazard(mid, log_ndtr(-mid)))
+    h_mid = hazard(mid, log_ndtr(-mid))
     lo = mid + np.minimum(log_ratio, 0.0) / h_mid
     hi = mid + np.maximum(log_ratio, 0.0) / h_mid
     x = mid + log_ratio / (2.0 * h_mid)  # the Newton step from d/2
+    active = np.ones(x.shape, dtype=bool)
     for _ in range(_SPLIT_MAX_ITERS):
         log_q0 = log_ndtr(-x)
         log_q1 = log_ndtr(x - d)
@@ -225,11 +238,16 @@ def binary_gaussian_split(a, b, d):
         step = x + f / (hazard(x, log_q0) + hazard(d - x, log_q1))
         x_new = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
         done = np.abs(x_new - x) <= _SPLIT_XTOL * np.maximum(1.0, np.abs(x))
-        x = x_new
-        if done.all():
+        x = np.where(active, x_new, x)
+        active &= ~done
+        if not active.any():
             break
     u = np.where(pos, expit(d * (mid - x) + log_ratio), 0.5)
     value = np.where(pos, a * gaussian_tail(x), 0.0)
+    if not isinstance(d, float):
+        zero_u, zero_value = _min_form_split(1.0, 1.0, a, b)
+        u = np.where(d > 0.0, u, zero_u)
+        value = np.where(d > 0.0, value, zero_value)
     return u, value
 
 

@@ -171,55 +171,65 @@ _ZOOM_STEPS = np.linspace(-1.0, 1.0, 13)
 
 def maximize_zoom(f, scan: np.ndarray, half: float, stop: float,
                   lift=None) -> OptResult:
-    """Maximize a vectorized f over coordinates in [0, 1]^d, d = 1 or 2.
+    """Maximize a vectorized f over coordinates in [0, 1]^d, d <= 3.
 
-    f maps an (m, k) array of rows to m values (ValueError otherwise); NaN
-    counts as -inf.  After the (m, d) ``scan`` points, a stencil of 13 points
-    per axis, clipped to [0, 1], is laid around the incumbent, which moves
-    only on a strict improvement; its half-width starts at ``half`` and
-    shrinks by 0.35 per round while it exceeds ``stop``.  ``lift``, if given,
-    maps coordinates to (kept coordinates, one row per kept point), dropping
-    infeasible points; otherwise the rows are the coordinates.  ``value`` is
-    f re-evaluated at the returned row; ``evaluations`` counts rows.
+    f maps an (m, k) array of rows to m values; or, for B problems in
+    lockstep, the (m, d) ``scan`` points to (B, m) values and later (B, m',
+    k) rows to (B, m').  Other shapes raise ValueError; NaN counts as -inf.
+    After the scan each incumbent, moving only on a strict improvement, gets
+    a stencil of 13 points per axis clipped to [0, 1], half-width ``half``
+    shrinking by 0.35 per round while above ``stop``.  ``lift`` maps
+    coordinates to (rows, feasible mask or None); infeasible points score
+    -inf, uncounted.  ``value`` is f re-evaluated at the returned row and
+    ``evaluations`` counts rows; for a batch both argmax and value hold
+    arrays over the problems.
     """
+    rows_of = lift or (lambda coords: (coords, None))
+    rows, inside = rows_of(scan)
+    vals = np.asarray(f(rows), dtype=float)
+    batched = vals.ndim == 2 and vals.shape[1] == len(scan)
+    if not (batched or vals.shape == (len(scan),)):
+        raise ValueError("f must return one value per row")
+    pick = np.arange(vals.size // len(scan))
+    d = scan.shape[1]   # stencil offsets, the first axis varying fastest
+    offsets = _ZOOM_STEPS[np.indices((13,) * d).reshape(d, -1)[::-1].T]
     evals = 0
 
-    def batch(coords):
+    def score(values, inside):
         nonlocal evals
-        coords, rows = (coords, coords) if lift is None else lift(coords)
-        evals += len(rows)
-        vals = np.asarray(f(rows), dtype=float)
-        return coords, np.where(np.isnan(vals), -np.inf, vals)
+        values = np.asarray(values, dtype=float).reshape(len(pick), -1)
+        if inside is not None:
+            inside = np.broadcast_to(inside, values.shape)
+            values = np.where(inside, values, -np.inf)
+        evals += values.size if inside is None else int(inside.sum())
+        return np.where(np.isnan(values), -np.inf, values)
 
-    coords, vals = batch(scan)
-    if vals.shape != (len(coords),):
-        raise ValueError("f must return one value per row")
-    i = int(np.argmax(vals))
-    best = coords[i].copy()
-    best_v = float(vals[i])
+    vals = score(vals, inside)
+    i = np.argmax(vals, axis=1)
+    best, best_v = scan[i], vals[pick, i]
     while half > stop:
-        axes = [np.clip(x + half * _ZOOM_STEPS, 0.0, 1.0) for x in best]
-        if len(axes) == 1:
-            cand = axes[0][:, None]
-        else:
-            xx, yy = np.meshgrid(*axes)
-            cand = np.column_stack([xx.ravel(), yy.ravel()])
-        cand, vals = batch(cand)
-        j = int(np.argmax(vals))
-        if vals[j] > best_v:
-            best_v = float(vals[j])
-            best = cand[j].copy()
+        cand = np.clip(best[:, None, :] + half * offsets, 0.0, 1.0)
+        rows, inside = rows_of(cand)
+        vals = score(f(rows if batched else rows[0]), inside)
+        j = np.argmax(vals, axis=1)
+        better = vals[pick, j] > best_v
+        best = np.where(better[:, None], cand[pick, j], best)
+        best_v = np.where(better, vals[pick, j], best_v)
         half *= 0.35
 
-    row = best[None, :] if lift is None else lift(best[None, :])[1]
-    final = float(np.asarray(f(row), dtype=float)[0])
-    return OptResult(argmax=tuple(float(x) for x in row[0]), value=final,
-                     evaluations=evals + 1)
+    rows = rows_of(best)[0]
+    final = np.asarray(f(rows[:, None] if batched else rows),
+                       dtype=float).reshape(-1)
+    evals += len(pick)
+    if batched:
+        return OptResult(argmax=tuple(rows.T), value=final, evaluations=evals)
+    return OptResult(argmax=tuple(float(x) for x in rows[0]),
+                     value=float(final[0]), evaluations=evals)
 
 
 def _lift_simplex2(c: np.ndarray):
-    rows = np.column_stack([c[:, 0], 1.0 - c[:, 0]])
-    return c, np.clip(rows, 0.0, 1.0, out=rows)
+    rows = np.concatenate([c, 1.0 - c], axis=-1)
+    return np.clip(rows, 0.0, 1.0, out=rows), None
 
 
 # barycentric scan of the dim-3 simplex at step 1/64 (2145 points), built once
@@ -229,21 +239,22 @@ _SIMPLEX3_GRID.flags.writeable = False
 
 
 def _lift_simplex3(c: np.ndarray):
-    c = c[c.sum(axis=1) <= 1.0 + 1e-15]
-    rows = np.column_stack([c[:, 0], c[:, 1], 1.0 - c[:, 0] - c[:, 1]])
-    return c, np.clip(rows, 0.0, 1.0, out=rows)
+    q, r = c[..., 0], c[..., 1]
+    rows = np.stack([q, r, 1.0 - q - r], axis=-1)
+    return np.clip(rows, 0.0, 1.0, out=rows), q + r <= 1.0 + 1e-15
 
 
 def maximize_simplex(f, dim: int) -> OptResult:
     """Maximize f over the probability simplex with ``dim`` weights.
 
     f receives an (m, dim) array of weight rows (nonnegative, summing to
-    one) and returns m values.
+    one) and returns m values, or (B, m) values for a batch of B problems
+    (see maximize_zoom).
 
     Barycentric grid scan (1025 points for dim 2, step 1/64 for dim 3)
     followed by maximize_zoom's shrinking local grids around the incumbent,
-    down to a half-width of 1e-11.  Supports dim 2 and 3, which is all the
-    multi-point bounds use.
+    down to a half-width of 1e-11; off-simplex stencil points are not
+    scored.  Supports dim 2 and 3, which is all the multi-point bounds use.
     """
     if dim not in (2, 3):
         raise ValueError("maximize_simplex supports dim 2 or 3 only")

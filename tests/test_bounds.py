@@ -10,8 +10,8 @@ import oracles
 import minimaxlb as mx
 from minimaxlb import bounds, catalog, models
 from minimaxlb.loss import LossSpec
-from minimaxlb.numerics import (Interval, OptResult, gaussian_tail,
-                                maximize_simplex)
+from minimaxlb.numerics import (Interval, gaussian_tail, maximize_1d,
+                                maximize_simplex, maximize_zoom)
 
 
 # four scalar maps, two identities and two negations: with k of them on the
@@ -621,9 +621,15 @@ class TestPairSplit:
 
 def _at_spacing(delta):
     """Stand-in for the outer search of a nested bound: solve the inner
-    problem at one spacing only."""
-    def outer(f, domain, *, cells=512):
-        return OptResult(argmax=(delta,), value=f(delta), evaluations=1)
+    problem at one spacing only, as a batch of one."""
+    def outer(joint, domain, solve=None, simplex=None):
+        if simplex:
+            row = maximize_simplex(lambda rows: joint(
+                np.array([[delta]]), *np.moveaxis(rows, -1, 0)),
+                simplex).argmax
+        else:
+            row = solve(np.array([delta]))[0]
+        return delta, tuple(float(c[0]) for c in row)
     return outer
 
 
@@ -654,7 +660,7 @@ class TestNestedInnerSolves:
         # with r searched, the best q for each r is the limit's pair split
         model = models.get_model(model_id)
         for delta in (0.3, 1.0, 3.0):
-            monkeypatch.setattr(bounds, "maximize_1d", _at_spacing(delta))
+            monkeypatch.setattr(bounds, "_nested_max", _at_spacing(delta))
             for t in (1.0, 1.5, 3.0):
                 def rows_value(qr):
                     q, r = qr[:, 0], qr[:, 1]
@@ -701,7 +707,7 @@ class TestNestedInnerSolves:
                 searches[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(bounds, name, counted)
-        monkeypatch.setattr(bounds, "maximize_1d", _at_spacing(0.9))
+        monkeypatch.setattr(bounds, "_nested_max", _at_spacing(0.9))
         cases = [mx.three_point_bound,
                  lambda m, **k: mx.moment_two_point_bound(m, 2.0, **k)]
         if finite:
@@ -743,7 +749,7 @@ class TestNestedInnerSolves:
         # finite sample size where the two flank separations round apart,
         # moves the value by rounding only
         def pe(lo, hi, c):
-            scale = 1.0 - 2.0 ** -50 if lo == 0.0 else 1.0
+            scale = np.where(np.asarray(lo) == 0.0, 1.0 - 2.0 ** -50, 1.0)
             return scale * model.limit.pe_pair(1.0, hi - lo, c)
 
         def split(lo, hi, a, b):
@@ -807,6 +813,194 @@ class TestNestedInnerSolves:
                         for inner in ("free", "half")]
             for rep in reports:
                 assert rep.value > 0.0 and rep.reevaluate() == rep.value
+
+
+# ---------------------------------------------------------------------------
+# the nested engines against the search they replaced: a 64-cell maximize_1d
+# over the spacing, with one full inner solve through the public maximizers
+# at every spacing it visits
+
+def _reference_nested(inner, domain=(0.0, 20.0)):
+    return maximize_1d(inner, Interval(*domain), cells=64).value
+
+
+def _max_01(f):
+    """The inner 1-D search: a 1025-point scan of [0, 1] plus zoom."""
+    return maximize_zoom(lambda x: f(x[:, 0]),
+                         np.linspace(0.0, 1.0, 1025)[:, None], 1.0 / 1024,
+                         1e-12).value
+
+
+def _pair_mass(pe, x, y):
+    """(x + y) * pe(x / (x + y)), 0 where x + y = 0."""
+    total = x + y
+    c = np.where(total > 0.0, x / np.where(total > 0.0, total, 1.0), 0.5)
+    return np.where(total > 0.0, total * pe(c), 0.0)
+
+
+def _local_source(model, theta):
+    """pe(lo, hi, c) and split(lo, hi, a, b) of a local limit, for test
+    points at offsets lo < hi."""
+    lim = model.limit
+    return (lambda lo, hi, c: lim.pe_pair(theta, hi - lo, c),
+            lambda lo, hi, a, b: lim.pair_split(theta, hi - lo, a, b))
+
+
+def _oracle_source(model, n, theta0):
+    oracle = model.oracle
+    return (lambda lo, hi, c: oracle.pe(c, theta0 + lo, theta0 + hi, n),
+            lambda lo, hi, a, b: oracle.pair_split(a, b, theta0 + lo,
+                                                   theta0 + hi, n))
+
+
+def _moment_inner(pe, split, t, r_fixed):
+    if r_fixed is None:
+        return lambda d: _max_01(lambda r: d ** t * split(
+            0.0, d, (1.0 - r) ** (t - 1.0), r ** (t - 1.0))[1])
+    a, b = (1.0 - r_fixed) ** (t - 1.0), r_fixed ** (t - 1.0)
+    return lambda d: _max_01(lambda q: d ** t * _pair_mass(
+        lambda c: pe(0.0, d, c), a * q, b * (1.0 - q)))
+
+
+def _three_point_inner(pe, split, inner_prior, w_zero):
+    if inner_prior == "half":
+        return lambda d: d * d * _pinned_simplex_max(
+            2.0 * pe(-d, 0.0, 0.5), 2.0 * pe(0.0, d, 0.5), w_zero)[1]
+
+    def value(d, rows):
+        q, r = rows[:, 0], rows[:, 1]
+        w = rows[:, 2] if rows.shape[1] == 3 else np.zeros(len(rows))
+        return d * d * (split(-d, 0.0, q, r)[1] + split(0.0, d, r, w)[1])
+
+    return lambda d: maximize_simplex(lambda rows: value(d, rows),
+                                      2 if w_zero else 3).value
+
+
+def _assert_not_below(value, reference):
+    assert value >= reference * (1.0 - 1e-13), (value, reference)
+
+
+_RNG = np.random.default_rng(20240611)
+_RANDOM_LIMITS = _RNG.uniform(0.5, 2.0, (6, 3))
+_RANDOM_T = _RNG.uniform(1.0, 4.0, 6)
+_MODES = [("moment", None), ("moment", 0.5), ("free", False), ("free", True),
+          ("half", False)]
+
+
+def _random_limit(index):
+    """One of the four Gaussian-type and two uniform limits, at a seeded
+    random scale, and the theta to take it at."""
+    x, y, z = _RANDOM_LIMITS[index]
+    return [(models.get_model("gauss-location", sigma=x), 1.0),
+            (models.get_model("awgn-smooth", pdot=x, n0=y), 1.0),
+            (models.get_model("awgn-rect", power=x, n0=y, pulse_width=z), 1.0),
+            (models.get_model("exp-family", sigma=x), y),
+            (models.get_model("uniform-scale"), 4.0 * x),
+            (models.get_model("uniform-location"), 1.0)][index]
+
+
+class TestNestedAgainstReference:
+    @pytest.mark.parametrize("mode", range(len(_MODES)),
+                             ids=[f"{k}-{v}" for k, v in _MODES])
+    @pytest.mark.parametrize("index", range(6), ids=_LIMIT_IDS)
+    def test_local_limits(self, index, mode):
+        model, theta = _random_limit(index)
+        pe, split = _local_source(model, theta)
+        kind, arg = _MODES[mode]
+        if kind == "moment":
+            t = _RANDOM_T[index]
+            rep = mx.moment_two_point_bound(model, t, theta=theta, r_fixed=arg)
+            inner = _moment_inner(pe, split, t, arg)
+        else:
+            rep = mx.three_point_bound(model, theta=theta, inner_prior=kind,
+                                       w_zero=arg)
+            inner = _three_point_inner(pe, split, kind, arg)
+        _assert_not_below(rep.value, _reference_nested(inner))
+        assert rep.reevaluate() == rep.value
+
+    @pytest.mark.parametrize("t", [1.0, 6.0])
+    def test_moment_at_the_domain_edge(self, uniform_scale, t):
+        # at theta = 20 the best spacing lies past the edge delta = 20
+        pe, split = _local_source(uniform_scale, 20.0)
+        for r_fixed in (None, 0.5):
+            rep = mx.moment_two_point_bound(uniform_scale, t, theta=20.0,
+                                            r_fixed=r_fixed)
+            assert rep.argmax["delta"] == 20.0
+            _assert_not_below(rep.value, _reference_nested(
+                _moment_inner(pe, split, t, r_fixed)))
+            assert rep.reevaluate() == rep.value
+
+    @pytest.mark.parametrize("w_zero", [False, True], ids=["w", "w_zero"])
+    def test_three_point_at_the_domain_edge(self, uniform_scale, w_zero):
+        pe, split = _local_source(uniform_scale, 20.0)
+        for kind in ("free", "half"):
+            rep = mx.three_point_bound(uniform_scale, theta=20.0,
+                                       inner_prior=kind, w_zero=w_zero)
+            assert rep.argmax["delta"] == 20.0
+            _assert_not_below(rep.value, _reference_nested(
+                _three_point_inner(pe, split, kind, w_zero)))
+            assert rep.reevaluate() == rep.value
+
+    @pytest.mark.parametrize("ratio", [
+        0.25, 4.0, 4.0 * (1.0 - 1e-9), lambda d: 4.0 * np.exp(d - 2.4),
+        lambda d: 0.25 * np.exp(2.4 - d)],
+        ids=["quarter", "four", "below-four", "crossing-four",
+             "crossing-quarter"])
+    @pytest.mark.parametrize("w_zero", [False, True], ids=["w", "w_zero"])
+    def test_half_rows_at_the_flank_kinks(self, ratio, w_zero):
+        # the right flank's error is `ratio` times the left one's, so the
+        # best half row sits at (or switches across) its kinks at 1/4 and 4
+        model = models.get_model("gauss-location")
+        scale = ratio if callable(ratio) else (lambda d: ratio)
+
+        def pe(lo, hi, c):
+            factor = np.where(np.asarray(lo) == 0.0, scale(hi - lo), 1.0)
+            return factor * model.limit.pe_pair(1.0, hi - lo, c)
+
+        split = _local_source(model, 1.0)[1]
+        argmax, objective = bounds._three_point_engine(
+            pe, split, bounds._as_domain(None), "half", w_zero)
+        _assert_not_below(objective(**argmax), _reference_nested(
+            _three_point_inner(pe, split, "half", w_zero)))
+
+    @pytest.mark.parametrize("theta0", [0.37, 1.0, 5.5])
+    def test_three_point_exact(self, theta0):
+        def inner(s):
+            def value(rows):
+                q, r, w = rows.T
+                es = math.exp(s)
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    t1 = np.nan_to_num((q * r * es + 4.0 * q * w + r * w / es)
+                                       / (q * es * es + r * es + w))
+                    t2 = np.nan_to_num(r * w * (1.0 - 1.0 / es) / (r * es + w))
+                return s * s * (t1 + t2)
+            return maximize_simplex(value, 3).value
+
+        rep = mx.three_point_exact_uniform(theta0)
+        _assert_not_below(rep.value, theta0 ** 2 * _reference_nested(inner))
+        assert rep.reevaluate() == rep.value
+
+    @pytest.mark.parametrize("model_id, n, theta0, case", [
+        ("exp-rate", 1, 5.0, ("free", False, (0.0, 4.0))),
+        ("gauss-location", 5, 0.3, ("moment", 0.5, None)),
+        ("uniform-scale", 3, 2.0, ("free", True, (0.0, 1.9))),
+        ("uniform-location", 2, 0.0, ("moment", None, (0.0, 0.9))),
+    ], ids=["exp-rate", "gauss-location", "uniform-scale", "uniform-location"])
+    def test_finite_sample(self, model_id, n, theta0, case):
+        model = models.get_model(model_id)
+        pe, split = _oracle_source(model, n, theta0)
+        kind, arg, s_domain = case
+        if kind == "moment":
+            rep = mx.moment_two_point_bound(model, 2.0, s_domain=s_domain,
+                                            r_fixed=arg, n=n, theta0=theta0)
+            inner = _moment_inner(pe, split, 2.0, arg)
+        else:
+            rep = mx.three_point_bound(model, s_domain=s_domain, w_zero=arg,
+                                       n=n, theta0=theta0)
+            inner = _three_point_inner(pe, split, kind, arg)
+        _assert_not_below(rep.value, _reference_nested(
+            inner, s_domain or (0.0, 20.0)))
+        assert rep.reevaluate() == rep.value
 
 
 class TestBoundReport:

@@ -42,6 +42,40 @@ class TestBinaryGaussianError:
         assert abs(out[1] - gaussian_tail(1.0)) < 1e-14
 
 
+# distances across the min-form case, the tail and the far tail; masses
+# with zeros and ratios of 1e-12 both ways, priors at and near 0 and 1
+_DISTANCES = np.array([0.0, 1e-9, 0.3, 1.0, 12.0, 40.0])
+_MASS_A = np.array([0.3, 0.5, 1.0, 1e-12, 0.0, 0.4, 0.0, 2e-3, 1.0, 0.7])
+_MASS_B = np.array([0.7, 0.5, 1e-12, 1.0, 0.4, 0.0, 0.0, 0.9, 1.0, 7e-13])
+_PRIORS = np.array([0.0, 1e-12, 0.3, 0.5, 1.0 - 1e-12, 1.0, 0.77, 1e-300])
+
+
+class TestGaussianPairArrayDistance:
+    def test_error_equals_its_scalar_calls(self):
+        out = models.binary_gaussian_error(_PRIORS, _DISTANCES[:, None])
+        assert out.shape == (len(_DISTANCES), len(_PRIORS))
+        for i, d in enumerate(_DISTANCES):
+            for j, q in enumerate(_PRIORS):
+                assert out[i, j] == models.binary_gaussian_error(q, d)
+
+    def test_split_equals_its_scalar_calls(self):
+        u, value = models.binary_gaussian_split(_MASS_A, _MASS_B,
+                                                _DISTANCES[:, None])
+        for i, d in enumerate(_DISTANCES):
+            for j, (a, b) in enumerate(zip(_MASS_A, _MASS_B)):
+                assert (u[i, j], value[i, j]) == \
+                    models.binary_gaussian_split(a, b, d)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan,
+                                     np.array([0.1, -0.2]),
+                                     np.array([math.nan, 1.0])])
+    def test_a_negative_or_nan_element_raises(self, bad):
+        with pytest.raises(ValueError, match="nonnegative"):
+            models.binary_gaussian_error(0.3, bad)
+        with pytest.raises(ValueError, match="nonnegative"):
+            models.binary_gaussian_split(0.3, 0.2, bad)
+
+
 class TestExponentialRatePe:
     def test_maximum_over_prior(self):
         # stationary prior and value are algebraic in the golden ratio
