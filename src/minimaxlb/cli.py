@@ -19,7 +19,6 @@ from typing import Optional
 
 from . import catalog, models, verify
 from .bounds import BoundReport
-from .numerics import QuadratureError
 
 __all__ = ["main", "build_parser"]
 
@@ -144,11 +143,6 @@ def _cmd_compute(args) -> int:
         params = _collect_params(args)
         report = catalog.compute_bound(args.model, args.bound, loss, params,
                                        seed=args.seed)
-    except QuadratureError as exc:
-        print(f"minimaxlb: numerical failure: {exc}", file=sys.stderr)
-        print(f"  interval {exc.interval}, estimate {exc.estimate}, "
-              f"error {exc.error}", file=sys.stderr)
-        return 3
     except ArithmeticError as exc:
         print(f"minimaxlb: numerical failure: {exc}", file=sys.stderr)
         return 3

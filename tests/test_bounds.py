@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 import minimaxlb as mx
-from minimaxlb import bounds, catalog, models
+from minimaxlb import bounds, catalog, cli, models, numerics
 from minimaxlb.loss import LossSpec
 from minimaxlb.numerics import (Interval, gaussian_tail, maximize_1d,
                                 maximize_simplex, maximize_zoom)
@@ -401,6 +401,46 @@ class TestRotationNuisance:
     def test_noise_scale(self, nuisance_report):
         scaled = mx.rotation_nuisance_bound(sigma=2.0)
         assert abs(scaled.value - 4.0 * nuisance_report.value) < 1e-9
+
+    def test_wedge_exact_at_zero(self):
+        assert mx.rotation_wedge_integral(0.0) == 1.0 / 3.0
+
+    @pytest.mark.parametrize("s", np.linspace(0.0, 6.0, 13))
+    def test_wedge_against_mpmath(self, s):
+        # absolute on the default s domain, relative where the bound peaks
+        got = mx.rotation_wedge_integral(float(s))
+        ref = oracles.wedge_integral_mpmath(float(s))
+        assert abs(got - ref) <= 1e-16
+        if s <= 2.0:
+            assert abs(got - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("s", [8.0, 12.0])
+    def test_wedge_far_tail_against_mpmath(self, s):
+        got = mx.rotation_wedge_integral(s)
+        assert abs(got - oracles.wedge_integral_mpmath(s)) <= 1e-26
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.0])
+    def test_value_is_the_objective_at_the_argmax(self, sigma):
+        # the three rotated points have centroid (-s, 0), so the objective is
+        # 3 sigma^2 s^2 I(s); the reported value must be that at the argmax
+        rep = mx.rotation_nuisance_bound(sigma=sigma)
+        s = rep.argmax["s"]
+        expect = 3.0 * sigma ** 2 * s * s * oracles.wedge_integral_mpmath(s)
+        assert abs(rep.value - expect) <= 1e-14 * expect
+
+    def test_no_engine_path_reaches_quadrature(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature was called")
+
+        monkeypatch.setattr(numerics, "integrate_adaptive", refuse)
+        monkeypatch.setattr(numerics, "integrate_semi_infinite", refuse)
+        monkeypatch.setattr(bounds, "integrate_semi_infinite", refuse)
+        rep = mx.rotation_nuisance_bound()
+        assert rep.value > 0.0
+        rc = cli.main(["compute", "--model", "nuisance-rotation",
+                       "--bound", "nuisance-rotation"])
+        assert rc == 0
+        assert "value   0.2514" in capsys.readouterr().out
 
 
 class TestPairwiseSums:
