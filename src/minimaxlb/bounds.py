@@ -17,7 +17,8 @@ Conventions shared by all engines:
 
 The nested engines (moment, three-point, three-point-exact) solve their inner
 search at all outer grid spacings in lockstep, then refine by one joint zoom
-over the spacing and the inner coordinates (_nested_max).
+over the spacing and the inner coordinates (_nested_max); the half-prior
+three-point row is in closed form, so maximize_1d searches its spacing.
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ from scipy.special import owens_t
 from .loss import LossSpec, RatePower, eval_rho, omega
 from .models import Model, _separation
 # integrate_semi_infinite is unused: bench/tracing.py rebinds it (ROADMAP 3)
-from .numerics import (INV_PHI, INV_PHI2, Interval, _as_interval,
-                       _lift_simplex2, _lift_simplex3, gaussian_tail,
-                       integrate_semi_infinite, maximize_1d, maximize_simplex,
-                       maximize_zoom)
+from .numerics import (Interval, _as_interval, _lift_simplex2, _lift_simplex3,
+                       _to_domain, gaussian_tail, integrate_semi_infinite,
+                       maximize_1d, maximize_simplex, maximize_zoom)
 
 __all__ = [
     "BoundReport",
@@ -230,6 +230,10 @@ def _max_box2(fvec):
     return opt.argmax, opt.value
 
 
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0   # 1/phi, golden-section step
+INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+
+
 def _rowwise_max_01(f, k):
     """Row-parallel maximization on [0,1].
 
@@ -237,7 +241,8 @@ def _rowwise_max_01(f, k):
     shape.  Scan a shared 17-point grid, then run 60 golden-section steps on
     per-row brackets, all rows in lockstep.  Assumes row objectives are
     unimodal (true for the pair splits searched here: G((1-u)a, u*b) is
-    concave in u).
+    concave in u); on such rows maximize_zoom's 13-point stencils would do
+    2.4 times the elementwise work.
     """
     us = np.linspace(0.0, 1.0, 17)
     best_v = np.asarray(f(np.full(k, us[0])), dtype=float)
@@ -346,29 +351,25 @@ def _nested_max(joint, domain: Interval, solve=None, simplex=None):
     spacings x and inner rows (as columns), broadcast together.  solve(xs)
     solves the inner problem at every grid spacing at once, one row batch of
     a front end, and returns (argmax rows as columns, values); ``simplex`` =
-    dim makes maximize_simplex the front end, and with neither joint takes
-    no row.  The best grid spacing seeds one joint zoom over (spacing, inner
-    coordinates), a simplex row's last weight derived.  Returns (x*, row).
+    dim makes maximize_simplex the front end instead.  The best grid spacing
+    seeds one joint zoom over (spacing, inner coordinates), a simplex row's
+    last weight derived.  Returns (x*, row).
     """
     if simplex:
         def solve(xs):
             opt = maximize_simplex(lambda rows: joint(
                 xs[:, None], *np.moveaxis(rows, -1, 0)), simplex)
             return opt.argmax, opt.value
-    solve = solve or (lambda xs: ((), joint(xs)))
     lift = {2: _lift_simplex2, 3: _lift_simplex3}.get(simplex)
-    lo, hi = domain.lo, domain.hi
-
-    def spacing(t):
-        return np.where(t < 1.0, np.minimum(lo + t * (hi - lo), hi), hi)
 
     def joint_lift(p):
         inner, inside = ((p[..., 1:], None) if lift is None
                          else lift(p[..., 1:]))
-        return np.concatenate([spacing(p[..., :1]), inner], axis=-1), inside
+        return (np.concatenate([_to_domain(p[..., :1], domain), inner],
+                               axis=-1), inside)
 
     grid = np.linspace(0.0, 1.0, _NESTED_CELLS + 1)
-    parts = [solve(spacing(grid[i:i + _NESTED_SLICE]))
+    parts = [solve(_to_domain(grid[i:i + _NESTED_SLICE], domain))
              for i in range(0, len(grid), _NESTED_SLICE)]
     row = [np.concatenate(c) for c in zip(*(p[0] for p in parts))]
     values = np.concatenate([p[1] for p in parts])
@@ -465,16 +466,15 @@ def local_two_point_bound(model: Model, loss: LossSpec, theta: float = 1.0,
     if pe_fn is None:
         raise ValueError(f"model {model.id!r} has no frozen-prior local limit")
 
-    def objective(s: float) -> float:
-        return 2.0 * omega(loss, s) * float(pe_fn(theta, s))
+    def objective(s):
+        return 2.0 * omega(loss, s) * pe_fn(theta, s)
 
-    opt = maximize_1d(objective, domain)
-    s_star = opt.argmax[0]
+    s_star = maximize_1d(objective, domain).argmax[0]
     rate = limit.rate.with_power_loss(loss.t) if loss.kind == "power" else None
     notes = ("prior frozen at 1/2",) if half_prior else ()
     notes += _edge_notes(s_star, domain)
     return BoundReport(bound_id="local-two-point", model_id=model.id,
-                       value=objective(s_star), loss=loss, rate=rate,
+                       value=float(objective(s_star)), loss=loss, rate=rate,
                        argmax={"s": s_star}, notes=notes, objective=objective)
 
 
@@ -607,7 +607,8 @@ def _three_point_engine(pe, split, domain: Interval, inner_prior: str,
                              + split(0.0, delta, r, w)[1])
 
     if inner_prior == "half":
-        d_star, _ = _nested_max(lambda delta: pinned(delta)[0], domain)
+        d_star = maximize_1d(lambda delta: pinned(delta)[0], domain,
+                             cells=_NESTED_CELLS).argmax[0]
         q, r, w = (float(x) for x in pinned(d_star)[1])
         u, v = q / (q + r), w / (r + w)
     else:
@@ -783,7 +784,7 @@ def transform_two_point_bound(model: Model, loss: LossSpec,
 _SQRT3 = math.sqrt(3.0)
 
 
-def rotation_wedge_integral(s: float) -> float:
+def rotation_wedge_integral(s):
     """List-error limit for three rotated Gaussian test points:
     (1/sqrt(2*pi)) * integral_0^inf e^{-(u+s)^2/2} (1 - 2*Q(u*sqrt(3))) du.
 
@@ -794,42 +795,38 @@ def rotation_wedge_integral(s: float) -> float:
     I(s) = Q(h) - 2*T(h, 1/sqrt(3)) with h = sqrt(3)*s/2.  At s = 0 this is
     exactly 1/3 (the wedge covers a third of the plane).  Against 30-digit
     mpmath quadrature of the integral the absolute error is at most 3e-17
-    on [0, 6] (6e-16 relative up to s = 2) and 4e-28 at s = 8.
+    on [0, 6] (6e-16 relative up to s = 2) and 4e-28 at s = 8.  Elementwise
+    over an array s, bit for bit as scalar calls; s < 0 or NaN raises.
     """
-    if s < 0:
+    s = np.asarray(s, dtype=float)
+    if not np.all(s >= 0.0):
         raise ValueError("s must be nonnegative")
     h = 0.5 * _SQRT3 * s
-    return float(gaussian_tail(h) - 2.0 * owens_t(h, 1.0 / _SQRT3))
+    out = gaussian_tail(h) - 2.0 * owens_t(h, 1.0 / _SQRT3)
+    return float(out) if out.ndim == 0 else out
 
 
 def rotation_nuisance_bound(sigma: float = 1.0, s_domain=None) -> BoundReport:
     """MSE bound for a 2-D Gaussian location whose second coordinate is a
     nuisance: three test points rotated by 120 degrees, uniform priors.
 
-    Per scaled spacing s the geometry factor is 3*s^2 (through the transform
-    hook) and the list error is the wedge integral; the optimized product is
-    multiplied by sigma^2 and decays at rate n.
+    At scaled spacing s the points R_i^T (-s, 0) give the list-error hook
+    (transform_list_error_bound) the geometry factor 3*s^2, the list error is
+    the wedge integral I(s), and 3*sigma^2*s^2*I(s) is maximized over s; the
+    bound decays at rate n.
     """
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     domain = _as_domain(s_domain) if s_domain is not None else Interval(0.0, 6.0)
-    transforms = TransformSet.rotations(3)
-    inverses = tuple(t.T for t in transforms.transforms)
     loss = LossSpec.mse()
 
-    def objective(s: float) -> float:
-        base = np.array([-s, 0.0])
-        pts = [inv @ base for inv in inverses]
-        hook = transform_list_error_bound(loss, transforms, pts,
-                                          rotation_wedge_integral(s),
-                                          model_id="nuisance-rotation")
-        return sigma * sigma * hook.value
+    def objective(s):
+        return 3.0 * sigma ** 2 * s ** 2 * rotation_wedge_integral(s)
 
-    opt = maximize_1d(objective, domain)
-    s_star = opt.argmax[0]
+    s_star = maximize_1d(objective, domain).argmax[0]
     return BoundReport(bound_id="nuisance-rotation",
                        model_id="nuisance-rotation",
-                       value=objective(s_star), loss=loss,
+                       value=float(objective(s_star)), loss=loss,
                        rate=RatePower(0.5, 1.0, "n"),
                        argmax={"s": s_star},
                        notes=("three plane rotations, uniform priors; "

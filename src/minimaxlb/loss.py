@@ -13,9 +13,10 @@ anything else.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 __all__ = ["LossSpec", "RatePower", "eval_rho", "omega"]
 
@@ -26,8 +27,8 @@ class LossSpec:
 
     kind is "power" or "custom".  For power losses ``t`` is the exponent and
     convexity is decided by t >= 1.  Custom losses carry their evaluator and
-    optionally an omega function; without one they are rejected by the local
-    engines.
+    optionally an omega function, elementwise over arrays; without one they
+    are rejected by the local engines.
     """
 
     kind: str
@@ -102,11 +103,14 @@ def eval_rho(loss: LossSpec, eps: float) -> float:
     return float(loss.evaluator(eps))
 
 
-def omega(loss: LossSpec, s: float) -> float:
-    """Scaling function omega(s); |s|^t for power losses."""
+def omega(loss: LossSpec, s):
+    """Scaling function omega(s), elementwise over an array s (a custom
+    omega_fn takes arrays too); |s|^t for power losses."""
     if loss.kind == "power":
-        return abs(s) ** loss.t
-    if loss.omega_fn is None:
+        out = np.abs(s) ** loss.t
+    elif loss.omega_fn is None:
         raise ValueError("custom loss without a supplied omega is not usable "
                          "in local bounds")
-    return float(loss.omega_fn(s))
+    else:
+        out = np.asarray(loss.omega_fn(s), dtype=float)
+    return float(out) if np.ndim(out) == 0 else out

@@ -93,7 +93,8 @@ class LocalErrorLimit:
 
     rate describes the contraction: xi = variable^(-xi_exponent).  The stored
     zeta_exponent pairs with squared error; bound engines rescale it for the
-    loss they actually use.
+    loss they actually use.  pe_inf(theta, s) and pe_inf_halfprior are
+    elementwise over an array s: a spacing search scores its grid in one call.
 
     pair_split(theta, delta, a, b) -> (u, value), vectorized over the masses
     a, b >= 0, is the exact maximum over u in [0, 1] of the pair's

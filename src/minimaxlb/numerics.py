@@ -3,16 +3,18 @@ and adaptive quadrature on finite and semi-infinite intervals.
 
 The maximizers are grid-then-refine rather than derivative-based on purpose:
 the objectives they serve routinely contain ``min{...}`` kinks and interior
-ridges, so gradient information is unreliable.  Every routine here is a pure
-function of its inputs and safe to call concurrently; grid scans reduce in a
-fixed order, so repeated calls are bit-identical.
+ridges, so gradient information is unreliable.  All are maximize_zoom, a
+vectorized grid scan and shrinking stencils, or its front ends, so their
+objectives map arrays of points to arrays of values.  Every routine here is
+a pure function of its inputs and safe to call concurrently; grid scans
+reduce in a fixed order, so repeated calls are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import erfc
@@ -30,8 +32,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0   # 1/phi, golden-section step
-INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 
 
 class QuadratureError(ArithmeticError):
@@ -71,9 +71,8 @@ class Interval:
 class OptResult:
     """Best point found by a maximizer.
 
-    ``value`` is the objective evaluated exactly at ``argmax`` (same floats the
-    caller would get by re-evaluating), and ``evaluations`` counts every
-    objective call made during the search.
+    ``value`` is the objective evaluated at ``argmax``, passed as a batch of
+    one point; ``evaluations`` counts the points scored during the search.
     """
 
     argmax: tuple
@@ -101,69 +100,6 @@ def _as_interval(domain) -> Interval:
         return domain
     lo, hi = domain
     return Interval(float(lo), float(hi))
-
-
-def maximize_1d(f: Callable[[float], float], domain, *,
-                cells: int = 512) -> OptResult:
-    """Maximize a scalar function on a finite interval.
-
-    Coarse scan on a uniform grid of ``cells`` cells (cells + 1 points), then
-    golden-section refinement inside the two cells flanking the best grid
-    point, until the bracket is no wider than
-    max(1e-12, 1e-10 * max(1, |lo|, |hi|)).  The returned value never falls
-    below the best grid evaluation.  NaN evaluations are treated as -inf.
-    """
-    domain = _as_interval(domain)
-    if not domain.finite:
-        raise ValueError("maximize_1d requires a finite interval")
-    cells = int(cells)
-    if cells < 1:
-        raise ValueError("maximize_1d needs at least one grid cell")
-
-    lo, hi = domain.lo, domain.hi
-    xs = np.linspace(lo, hi, cells + 1)
-    evals = 0
-
-    def call(x: float) -> float:
-        nonlocal evals
-        evals += 1
-        v = float(f(float(x)))
-        return -math.inf if math.isnan(v) else v
-
-    best_x = xs[0]
-    best_v = call(best_x)
-    best_i = 0
-    for i in range(1, cells + 1):
-        v = call(xs[i])
-        if v > best_v:
-            best_v, best_x, best_i = v, xs[i], i
-
-    a = xs[max(best_i - 1, 0)]
-    b = xs[min(best_i + 1, cells)]
-    xtol = max(1e-12, 1e-10 * max(1.0, abs(lo), abs(hi)))
-    h = b - a
-    if h > xtol:
-        c = a + INV_PHI2 * h
-        d = a + INV_PHI * h
-        yc = call(c)
-        yd = call(d)
-        while h > xtol:
-            if yc >= yd:
-                b, d, yd = d, c, yc
-                h = b - a
-                c = a + INV_PHI2 * h
-                yc = call(c)
-            else:
-                a, c, yc = c, d, yd
-                h = b - a
-                d = a + INV_PHI * h
-                yd = call(d)
-            if yc > best_v:
-                best_v, best_x = yc, c
-            if yd > best_v:
-                best_v, best_x = yd, d
-
-    return OptResult(argmax=(float(best_x),), value=best_v, evaluations=evals)
 
 
 _ZOOM_STEPS = np.linspace(-1.0, 1.0, 13)
@@ -225,6 +161,33 @@ def maximize_zoom(f, scan: np.ndarray, half: float, stop: float,
         return OptResult(argmax=tuple(rows.T), value=final, evaluations=evals)
     return OptResult(argmax=tuple(float(x) for x in rows[0]),
                      value=float(final[0]), evaluations=evals)
+
+
+def _to_domain(t, domain: Interval):
+    """Map unit coordinates t in [0, 1] affinely onto a finite domain: t = 1
+    lands on domain.hi exactly, and no t lands past it."""
+    lo, hi = domain.lo, domain.hi
+    return np.where(t < 1.0, np.minimum(lo + t * (hi - lo), hi), hi)
+
+
+def maximize_1d(f, domain, *, cells: int = 512) -> OptResult:
+    """Maximize f, which maps an array of abscissas to an array of values of
+    its shape, on a finite interval: maximize_zoom from one call on the grid
+    of ``cells`` cells (the last point exactly domain.hi), with stencils from
+    a half-width of one cell down to 1e-12 of the domain's width.  The value
+    never falls below the best grid value; NaN counts as -inf, and
+    ``evaluations`` counts scored abscissas.
+    """
+    domain = _as_interval(domain)
+    if not domain.finite:
+        raise ValueError("maximize_1d requires a finite interval")
+    if not (cells >= 1 and float(cells).is_integer()):
+        raise ValueError("maximize_1d needs a whole number of grid cells, "
+                         f"at least one; got {cells!r}")
+    return maximize_zoom(lambda x: f(x[..., 0]),
+                         np.linspace(0.0, 1.0, int(cells) + 1)[:, None],
+                         1.0 / cells, 1e-12,
+                         lambda t: (_to_domain(t, domain), None))
 
 
 def _lift_simplex2(c: np.ndarray):

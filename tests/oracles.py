@@ -2,7 +2,8 @@
 
 Everything here is deliberately written without importing the package under
 test: the Gaussian tail comes from a series / continued-fraction pair, the
-optimizers are plain grid-and-zoom scans, and the quadratures go through
+optimizers are plain grid-and-zoom scans (and the grid-plus-golden-section
+search the package used before its zoom), and the quadratures go through
 scipy or 30-digit mpmath.  Frozen constants were produced by these tools
 (cross-checked against 30-digit mpmath runs) and are asserted against
 package output in the tests.
@@ -70,6 +71,58 @@ def brute_max_1d(f, lo: float, hi: float, n: int = 4001, rounds: int = 7):
         span = (hi - lo) / 10.0
         lo, hi = best_x - span, best_x + span
     return best_x, best_v
+
+
+def golden_max_1d(f, lo: float, hi: float, cells: int = 512):
+    """Scalar grid scan plus golden section: the package's maximize_1d before
+    it became a front end of its zoom, kept as the reference its values may
+    not fall below.  f takes and returns floats; NaN counts as -inf.  Returns
+    (argmax, value, evaluations)."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0   # 1/phi, golden-section step
+    inv_phi2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+    xs = np.linspace(lo, hi, cells + 1)
+    evals = 0
+
+    def call(x: float) -> float:
+        nonlocal evals
+        evals += 1
+        v = float(f(float(x)))
+        return -math.inf if math.isnan(v) else v
+
+    best_x = xs[0]
+    best_v = call(best_x)
+    best_i = 0
+    for i in range(1, cells + 1):
+        v = call(xs[i])
+        if v > best_v:
+            best_v, best_x, best_i = v, xs[i], i
+
+    a = xs[max(best_i - 1, 0)]
+    b = xs[min(best_i + 1, cells)]
+    xtol = max(1e-12, 1e-10 * max(1.0, abs(lo), abs(hi)))
+    h = b - a
+    if h > xtol:
+        c = a + inv_phi2 * h
+        d = a + inv_phi * h
+        yc = call(c)
+        yd = call(d)
+        while h > xtol:
+            if yc >= yd:
+                b, d, yd = d, c, yc
+                h = b - a
+                c = a + inv_phi2 * h
+                yc = call(c)
+            else:
+                a, c, yc = c, d, yd
+                h = b - a
+                d = a + inv_phi * h
+                yd = call(d)
+            if yc > best_v:
+                best_v, best_x = yc, c
+            if yd > best_v:
+                best_v, best_x = yd, d
+
+    return float(best_x), best_v, evals
 
 
 def brute_max_simplex3(f, outer: int = 120, rounds: int = 5):

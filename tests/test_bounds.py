@@ -10,8 +10,7 @@ import oracles
 import minimaxlb as mx
 from minimaxlb import bounds, catalog, cli, models, numerics
 from minimaxlb.loss import LossSpec
-from minimaxlb.numerics import (Interval, gaussian_tail, maximize_1d,
-                                maximize_simplex, maximize_zoom)
+from minimaxlb.numerics import gaussian_tail, maximize_simplex, maximize_zoom
 
 
 # four scalar maps, two identities and two negations: with k of them on the
@@ -138,6 +137,17 @@ class TestLocalTwoPoint:
     def test_requires_limit(self, exp_rate):
         with pytest.raises(ValueError, match="local error limit"):
             mx.local_two_point_bound(exp_rate, LossSpec.mse())
+
+    @pytest.mark.parametrize("model_id", ["gauss-location", "uniform-scale"])
+    def test_custom_omega_matches_the_power_loss(self, model_id):
+        model = models.get_model(model_id)
+        cube = LossSpec.custom(lambda e: abs(e) ** 3, convex=True,
+                               symmetric=True, omega=lambda s: np.abs(s) ** 3)
+        rep = mx.local_two_point_bound(model, cube)
+        power = mx.local_two_point_bound(model, LossSpec.power(3.0))
+        assert rep.value == power.value
+        assert rep.argmax == power.argmax
+        assert rep.reevaluate() == rep.value
 
     def test_custom_loss_needs_weight_function(self, gauss):
         crooked = LossSpec.custom(lambda e: e * e, convex=True,
@@ -386,6 +396,31 @@ class TestRotationNuisance:
         with pytest.raises(ValueError):
             mx.rotation_wedge_integral(-0.1)
 
+    @pytest.mark.parametrize("s", [math.nan, [0.5, math.nan], [1.0, -0.1]],
+                             ids=["nan", "array-nan", "array-negative"])
+    def test_wedge_rejects_nan_and_negative_arrays(self, s):
+        with pytest.raises(ValueError, match="nonnegative"):
+            mx.rotation_wedge_integral(np.asarray(s) if isinstance(s, list)
+                                       else s)
+
+    def test_wedge_array_calls_are_scalar_calls(self):
+        s = np.concatenate([np.linspace(0.0, 6.0, 513), [1e-300, 8.0, 40.0]])
+        got = mx.rotation_wedge_integral(s)
+        assert got.shape == s.shape
+        assert np.array_equal(got, [mx.rotation_wedge_integral(float(x))
+                                    for x in s])
+        assert isinstance(mx.rotation_wedge_integral(1.0), float)
+
+    @pytest.mark.parametrize("s", [0.25, 1.0887875, 2.0, 5.5])
+    def test_hook_geometry_is_three_s_squared(self, s):
+        # the test points R_i^T (-s, 0) of the three rotations: the list-error
+        # hook's geometry factor, at list error 1, is the engine's 3 s^2
+        rotations = mx.TransformSet.rotations(3)
+        points = [t.T @ np.array([-s, 0.0]) for t in rotations.transforms]
+        rep = mx.transform_list_error_bound(LossSpec.mse(), rotations,
+                                            points, 1.0)
+        assert abs(rep.value - 3.0 * s * s) <= 1e-14 * 3.0 * s * s
+
     def test_bound_value(self, nuisance_report):
         rep = nuisance_report
         assert abs(rep.value - oracles.FROZEN["rotation_nuisance"]) < 1e-6
@@ -567,6 +602,39 @@ class TestPairRisk:
 
 _LIMIT_IDS = ["gauss-location", "awgn-smooth", "awgn-rect", "exp-family",
               "uniform-scale", "uniform-location"]
+
+
+# the single-level searches against the grid-plus-golden-section search their
+# maximize_1d ran before it became a zoom: a value may rise, but not fall
+# more than 1e-15 relative below it
+
+_BATTERY_LOSSES = ["mse", "mae", "power:7.3", "power:50"]
+
+
+def _assert_not_below_golden(value, objective, domain):
+    golden = oracles.golden_max_1d(lambda s: float(objective(s)), *domain)[1]
+    assert value >= golden - 1e-15 * abs(golden), (value, golden)
+
+
+class TestSingleLevelAgainstGoldenSection:
+    @pytest.mark.parametrize("half", [False, True], ids=["opt", "half"])
+    @pytest.mark.parametrize("loss", _BATTERY_LOSSES)
+    @pytest.mark.parametrize("model_id", _LIMIT_IDS)
+    def test_local_two_point(self, model_id, loss, half):
+        rep = mx.local_two_point_bound(
+            models.get_model(model_id), catalog.parse_loss(loss),
+            half_prior=half)
+        _assert_not_below_golden(rep.value, rep.objective, (0.0, 20.0))
+        assert rep.reevaluate() == rep.value
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_rotation_nuisance(self, sigma):
+        rep = mx.rotation_nuisance_bound(sigma=sigma)
+        _assert_not_below_golden(
+            rep.value, lambda s: 3.0 * sigma ** 2 * s ** 2
+            * mx.rotation_wedge_integral(s), (0.0, 6.0))
+        assert rep.reevaluate() == rep.value
+
 
 # prior masses (a, b): zero masses, mass ratios of 1e-12 both ways
 _SPLIT_MASSES = np.array([[0.3, 0.7], [0.5, 0.5], [1.0, 1e-12], [1e-12, 1.0],
@@ -856,12 +924,12 @@ class TestNestedInnerSolves:
 
 
 # ---------------------------------------------------------------------------
-# the nested engines against the search they replaced: a 64-cell maximize_1d
-# over the spacing, with one full inner solve through the public maximizers
-# at every spacing it visits
+# the nested engines against the search they replaced: a 64-cell grid and
+# golden-section search over the spacing, with one full inner solve through
+# the public maximizers at every spacing it visits
 
 def _reference_nested(inner, domain=(0.0, 20.0)):
-    return maximize_1d(inner, Interval(*domain), cells=64).value
+    return oracles.golden_max_1d(inner, *domain, cells=64)[1]
 
 
 def _max_01(f):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from minimaxlb.numerics import (INV_PHI, Interval, OptResult, QuadratureError,
+from minimaxlb.numerics import (Interval, OptResult, QuadratureError,
                                 gaussian_tail, integrate_adaptive,
                                 integrate_semi_infinite, maximize_1d,
                                 maximize_simplex)
@@ -42,7 +42,7 @@ class TestMaximize1d:
         assert abs(res.argmax[0] - oracles.FROZEN["gauss_local_mse_arg"]) < 1e-5
 
     def test_logistic_objective(self):
-        res = maximize_1d(lambda u: u * u / (2.0 * (1.0 + math.exp(u))),
+        res = maximize_1d(lambda u: u * u / (2.0 * (1.0 + np.exp(u))),
                           Interval(0.0, 40.0))
         assert abs(res.value - oracles.FROZEN["uniform_scale_local_mse"]) < 1e-9
 
@@ -52,7 +52,7 @@ class TestMaximize1d:
 
     def test_nan_regions_are_skipped(self):
         def f(x):
-            return float("nan") if x < 0.5 else -(x - 0.75) ** 2
+            return np.where(x < 0.5, np.nan, -(x - 0.75) ** 2)
         res = maximize_1d(f, Interval(0.0, 1.0))
         assert abs(res.argmax[0] - 0.75) < 1e-6
 
@@ -61,7 +61,7 @@ class TestMaximize1d:
             maximize_1d(lambda x: -x, Interval(0.0, math.inf))
 
     def test_value_matches_final_evaluation(self):
-        f = lambda x: math.sin(x) + 0.1 * x
+        f = lambda x: np.sin(x) + 0.1 * x
         res = maximize_1d(f, Interval(0.0, 6.0))
         assert res.value == f(res.argmax[0])
         assert isinstance(res, OptResult)
@@ -76,22 +76,65 @@ class TestMaximize1d:
             return -(x - 2.3) ** 2
 
         res = maximize_1d(f, Interval(0.0, 6.0), cells=cells)
-        grid = np.linspace(0.0, 6.0, cells + 1)
-        assert calls[:cells + 1] == list(grid)
-        # the rest are golden-section steps inside the cells flanking the
-        # best grid point, shrinking a bracket of width at most 2*6/cells by
-        # 1/phi per step down to 1e-10*6
-        golden = calls[cells + 1:]
+        # the first call is the whole grid, ending exactly at the upper end
+        grid = 6.0 * np.linspace(0.0, 1.0, cells + 1)
+        assert np.array_equal(calls[0], grid) and calls[0][-1] == 6.0
+        # the later calls are zoom stencils, all within one cell (to
+        # rounding) of the best grid point, and every abscissa scored counts
+        # as an evaluation
         best = grid[int(np.argmin(np.abs(grid - 2.3)))]
-        steps = math.log(2.0 * 6.0 / cells / 6e-10) / math.log(1.0 / INV_PHI)
-        assert res.evaluations == cells + 1 + len(golden)
-        assert 2 <= len(golden) <= math.ceil(steps) + 2
-        assert all(abs(x - best) <= 6.0 / cells for x in golden)
+        later = np.concatenate(calls[1:])
+        assert np.all(np.abs(later - best) <= 6.0 / cells * (1.0 + 1e-12))
+        assert res.evaluations == sum(len(x) for x in calls)
         assert abs(res.argmax[0] - 2.3) < 1e-6
 
     def test_rejects_an_empty_grid(self):
         with pytest.raises(ValueError, match="cell"):
             maximize_1d(lambda x: -x, Interval(0.0, 1.0), cells=0)
+
+    @pytest.mark.parametrize("cells", [2.5, 64.000001, math.nan, math.inf])
+    def test_rejects_a_fractional_grid(self, cells):
+        # it would otherwise be truncated to a coarser grid than asked for
+        with pytest.raises(ValueError, match="cell"):
+            maximize_1d(lambda x: -x, Interval(0.0, 1.0), cells=cells)
+
+    def test_integral_float_cells_are_whole(self):
+        f = lambda x: np.sin(3.0 * x)
+        assert maximize_1d(f, (0.0, 2.0), cells=7.0) == \
+            maximize_1d(f, (0.0, 2.0), cells=7)
+
+    @pytest.mark.parametrize("domain", [(0.0, 1.0), (0.3, 7.1), (-2.0, 20.0),
+                                        (1e-3, 0.7 + 1e-9)])
+    @pytest.mark.parametrize("cells", [1, 64, 512])
+    def test_increasing_objective_returns_the_upper_end(self, domain, cells):
+        # the engines' edge notes compare the argmax with domain.hi exactly
+        res = maximize_1d(lambda x: np.exp(x), Interval(*domain), cells=cells)
+        assert res.argmax[0] == domain[1]
+        assert res.value == np.exp(domain[1])
+
+
+# the objectives above, checked against the golden-section search that
+# maximize_1d replaced, which calls them one float at a time
+_GOLDEN_CASES = {
+    "quadratic": (lambda x: 5.0 - (x - 3.0) ** 2, (0.0, 10.0)),
+    "gauss-tail": (lambda s: 2.0 * s * s * gaussian_tail(s), (0.0, 20.0)),
+    "logistic": (lambda u: u * u / (2.0 * (1.0 + np.exp(u))), (0.0, 40.0)),
+    "boundary": (lambda x: x, (0.0, 1.0)),
+    "nan-region": (lambda x: np.where(x < 0.5, np.nan, -(x - 0.75) ** 2),
+                   (0.0, 1.0)),
+    "sine": (lambda x: np.sin(x) + 0.1 * x, (0.0, 6.0)),
+    "off-grid": (lambda x: -(x - 2.3) ** 2, (0.0, 6.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_CASES))
+@pytest.mark.parametrize("cells", [7, 64, 512])
+def test_maximize_1d_not_below_golden_section(case, cells):
+    f, (lo, hi) = _GOLDEN_CASES[case]
+    res = maximize_1d(f, Interval(lo, hi), cells=cells)
+    _, golden, _ = oracles.golden_max_1d(lambda x: float(f(np.float64(x))),
+                                         lo, hi, cells)
+    assert res.value >= golden - 1e-15 * abs(golden), (res.value, golden)
 
 
 class TestMaximizeSimplex:
