@@ -8,11 +8,13 @@ reproduction pipeline refuses to run if any default check fails.
 
 The searches are row-wise: ``_zoom_rows`` zooms many independent problems
 of one or two coordinates at once, each row with its own box and stop rule,
-so the default suite scores its random draws in batches (the 1-D checks in
-chunks of ``_CHUNK`` rows, the 100 3-D simplex draws together) instead of one
-Python call per draw, and the public checks are one-row calls of the same
-code.  A row does the same floating-point operations whatever batch it sits
-in, so a draw's error does not depend on how the draws are batched.  For the
+so each random check of the default suite is one batched search instead of
+one Python call per draw.  Its draws are scanned in bounded pieces (the 1-D
+checks ``_CHUNK`` rows at a time, the 3-D simplex draws one at a time), and
+then all of them zoom together in one ``_zoom_rows`` call.  The public
+checks are one-row calls of the same code.  A row does the same
+floating-point operations whatever batch it sits in, so a draw's error does
+not depend on how the draws are batched.  For the
 same reason the objectives divide where the closed forms divide (a_i / r_i,
 not a_i times a cached 1 / r_i): a product with a rounded reciprocal can
 differ from the quotient in the last bit, and such a change would move the
@@ -40,8 +42,9 @@ __all__ = [
 ]
 
 DEFAULT_SUITE_SEED = 1729
-# rows scored together by the suite: a (32, 2001) scan is about 0.5 MB, so
-# the batch keeps peak memory flat while Python overhead is paid per chunk
+# rows scanned together: a (32, 2001) scan is about 0.5 MB, so peak memory
+# stays flat however many draws a check has; the zoom that follows takes
+# every row at once, as its stencils are only 13 points a row
 _CHUNK = 32
 _ZOOM_STEPS = np.linspace(-1.0, 1.0, 13)
 
@@ -66,14 +69,22 @@ def _zoom_min_rows(f, lo, hi, grid: int):
     """Minimize f(x, rows) on each row's interval [lo[k], hi[k]], lo < hi
     float arrays: row k scans np.linspace(lo[k], hi[k], grid), then zooms by
     ``_zoom_rows`` from its best point, the first half-width one scan step.
-    Returns the arrays (argmin, min, evaluations), one entry per row."""
-    rows = np.arange(lo.size)
-    xs = np.linspace(lo, hi, grid, axis=1)
-    vals = f(xs, rows)
-    i = np.argmin(vals, axis=1)
+    The scans go ``_CHUNK`` rows at a time, so one (``_CHUNK``, grid) array
+    is alive at a time; then every row zooms in one batch.  Returns the
+    arrays (argmin, min, evaluations), one entry per row."""
+    best_x = np.empty((lo.size, 1))
+    best_v = np.empty(lo.size)
+    for start in range(0, lo.size, _CHUNK):
+        rows = np.arange(start, min(start + _CHUNK, lo.size))
+        xs = np.linspace(lo[rows], hi[rows], grid, axis=1)
+        vals = f(xs, rows)
+        i = np.argmin(vals, axis=1)
+        at = np.arange(rows.size)
+        best_x[rows, 0] = xs[at, i]
+        best_v[rows] = vals[at, i]
     best_x, best_v, evals = _zoom_rows(
-        f, xs[rows, i][:, None], vals[rows, i], lo[:, None], hi[:, None],
-        (hi - lo) / (grid - 1), np.full(lo.size, grid))
+        f, best_x, best_v, lo[:, None], hi[:, None], (hi - lo) / (grid - 1),
+        np.full(lo.size, grid))
     return best_x[:, 0], best_v, evals
 
 
@@ -116,27 +127,53 @@ def _as_rows(*values) -> tuple:
     return tuple(np.array([v], dtype=float) for v in values)
 
 
+def _require_finite(*values) -> None:
+    """A NaN or infinite input has no brute-force minimum to compare with:
+    refuse it rather than report a NaN error."""
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("inputs must be finite")
+
+
 @functools.lru_cache(maxsize=4)
 def _simplex_rows(d: int):
-    """Read-only (q, r, w) rows of the step-1/d barycentric simplex grid and
-    the mask of rows on its boundary, built on first use and shared by every
-    later call."""
+    """Read-only arrays of the interior points of the step-1/d barycentric
+    simplex grid, built on first use and shared by every later call: the
+    levels 1/d, 2/d, ..., 1, the positions of q and r in those levels, and
+    w = 1 - q - r.  The grid runs over q = i/d fastest, then r = j/d, with
+    i + j <= d; its boundary points (a zero q or r, or a w that rounds to 0
+    or below) are left out, as they score +inf."""
     ii, jj = np.meshgrid(np.arange(d + 1), np.arange(d + 1))
     keep = ii + jj <= d
     q = ii[keep] / d
     r = jj[keep] / d
-    rows = np.column_stack([q, r, 1.0 - q - r])
-    on_edge = (rows <= 0.0).any(axis=1)
-    rows.flags.writeable = False
-    on_edge.flags.writeable = False
-    return rows, on_edge
+    w = 1.0 - q - r
+    inner = (q > 0.0) & (r > 0.0) & (w > 0.0)
+    rows = (np.arange(1, d + 1) / d, (ii[keep][inner] - 1).astype(np.int16),
+            (jj[keep][inner] - 1).astype(np.int16), w[inner])
+    for x in rows:
+        x.flags.writeable = False
+    return rows
+
+
+def _simplex_argmin(d: int, a0, a1, a2) -> tuple:
+    """The first point (q, r) of the step-1/d simplex grid, in grid order,
+    minimizing max(a0 / q, a1 / r, a2 / w), and that minimum.  A point costs
+    one division, as a0 / q and a1 / r take only the d values a0 / level
+    and a1 / level."""
+    levels, qi, ri, w = _simplex_rows(d)
+    vals = np.take(a0 / levels, qi)
+    np.maximum(vals, np.take(a1 / levels, ri), out=vals)
+    np.maximum(vals, a2 / w, out=vals)
+    k = np.argmin(vals)
+    return levels[qi[k]], levels[ri[k]], vals[k]
 
 
 def _simplex_errors(*a):
     """Errors of check_simplex_infimum on d = 2 or 3 arrays of masses (a_1
     of each draw, a_2 of each draw, ...) and the evaluations each draw took.
-    For d = 3 each draw scans the cached grid alone, so one 80 601-point
-    array is alive at a time; then all draws zoom together."""
+    For d = 3 each draw scans the step-1/400 grid alone, so one 79 401-point
+    array of its interior is alive at a time; then all draws zoom
+    together."""
     total = sum(a)
     analytic = np.max([x / (x / total) for x in a], axis=0)
 
@@ -148,27 +185,24 @@ def _simplex_errors(*a):
         lo = np.full(len(total), 1e-9)
         _, best, evals = _zoom_min_rows(f, lo, 1.0 - lo, 401)
     else:
-        def f(k, q, r, w, on_edge):
+        def f(q, r, rows):
+            w = 1.0 - (q + r)
             # 1 - q - r can round to a tiny negative, flipping the ratio's
             # sign; such points sit on the boundary and must score +inf
             with np.errstate(divide="ignore"):
-                vals = np.maximum(np.maximum(a[0][k] / q, a[1][k] / r),
-                                  a[2][k] / w)
-            vals[on_edge] = np.inf
+                vals = np.maximum(np.maximum(a[0][rows, None] / q,
+                                             a[1][rows, None] / r),
+                                  a[2][rows, None] / w)
+            vals[(q <= 0.0) | (r <= 0.0) | (w <= 0.0)] = np.inf
             return vals
 
-        def zoomed(q, r, rows):
-            w = 1.0 - (q + r)
-            on_edge = (q <= 0.0) | (r <= 0.0) | (w <= 0.0)
-            return f(rows[:, None], q, r, w, on_edge)
-
-        grid, on_edge = _simplex_rows(400)
-        i = [np.argmin(f(k, *grid.T, on_edge)) for k in range(len(total))]
-        best_x = grid[i, :2]
-        best = f(np.arange(len(total)), *grid[i].T, on_edge[i])
+        d = 400
+        scan = np.array([_simplex_argmin(d, *x) for x in zip(*a)])
+        best_x = scan[:, :2]
         _, best, evals = _zoom_rows(
-            zoomed, best_x, best, np.zeros_like(best_x), np.ones_like(best_x),
-            np.full(len(total), 1.0 / 400), np.full(len(total), len(grid)),
+            f, best_x, scan[:, 2], np.zeros_like(best_x),
+            np.ones_like(best_x), np.full(len(total), 1.0 / d),
+            np.full(len(total), (d + 1) * (d + 2) // 2),
             inside=lambda q, r: q + r <= 1.0)
     err = np.maximum(np.abs(best - total) / total,
                      np.abs(analytic - total) / total)
@@ -185,6 +219,7 @@ def check_simplex_infimum(a: Sequence[float]) -> CheckReport:
     a = tuple(float(x) for x in a)
     if len(a) not in (2, 3):
         raise ValueError("supported simplex dimensions are 2 and 3")
+    _require_finite(*a)
     if any(x <= 0 for x in a):
         raise ValueError("all components must be positive")
     err, evals = _simplex_errors(*_as_rows(*a))
@@ -221,6 +256,7 @@ def check_two_point_quadratic(q: float, p0: float, p1: float,
     q*p0*(v-theta0)^2 + (1-q)*p1*(v-theta1)^2 is
     (theta1-theta0)^2 * (q p0)((1-q)p1) / (q p0 + (1-q)p1), and the minimizer
     always lies between the two test points."""
+    _require_finite(q, p0, p1, theta0, theta1)
     if not (0.0 <= q <= 1.0 and p0 >= 0 and p1 >= 0 and theta0 < theta1):
         raise ValueError("need q in [0,1], nonnegative densities, theta0 < theta1")
     err, evals = _two_point_errors(*_as_rows(q, p0, p1, theta0, theta1))
@@ -251,6 +287,7 @@ def check_three_point_quadratic(a: float, b: float, c: float,
     theta0, theta0 + delta with weights (a, b, c): the minimum over v is
     (ab + bc + 4ac) * delta^2 / (a + b + c), at
     v* = theta0 + (c - a) * delta / (a + b + c)."""
+    _require_finite(a, b, c, theta0, delta)
     if a < 0 or b < 0 or c < 0 or a + b + c <= 0:
         raise ValueError("weights must be nonnegative and not all zero")
     if not delta > 0:
@@ -261,13 +298,11 @@ def check_three_point_quadratic(a: float, b: float, c: float,
 
 
 def _worst_error(errors, draws: np.ndarray) -> float:
-    """The largest of errors(*columns) over the rows of ``draws``, scored
-    ``_CHUNK`` rows at a time."""
-    worst = 0.0
-    for start in range(0, len(draws), _CHUNK):
-        err, _ = errors(*draws[start:start + _CHUNK].T)
-        worst = max(worst, float(np.max(err)))
-    return worst
+    """The largest of errors(*columns) over the rows of ``draws``: one call,
+    whose scans go ``_CHUNK`` rows at a time and whose zoom takes every row
+    at once."""
+    err, _ = errors(*draws.T)
+    return float(np.max(err))
 
 
 def _chain_violation(a, b, c):
@@ -279,7 +314,8 @@ def _chain_violation(a, b, c):
             >= [min(a, b+2c) + min(c, b+2a)] / 2
             >= [min(a, b) + min(b, c)] / 2.
 
-    Elementwise on arrays of weights; 0 where all three weights are 0.
+    Elementwise on arrays of weights; 0 where all three weights are 0 and
+    NaN where one is not finite, so that such a triple fails its check.
     """
     a, b, c = np.asarray(a, float), np.asarray(b, float), np.asarray(c, float)
     total = a + b + c
@@ -289,15 +325,17 @@ def _chain_violation(a, b, c):
         lhs = (a * b + b * c + 4.0 * a * c) / total
         s1 = (np.where(d1 > 0, a * (b + 2.0 * c) / d1, 0.0)
               + np.where(d2 > 0, c * (b + 2.0 * a) / d2, 0.0))
-    s2 = 0.5 * (np.minimum(a, b + 2.0 * c) + np.minimum(c, b + 2.0 * a))
-    s3 = 0.5 * (np.minimum(a, b) + np.minimum(b, c))
-    worst = np.maximum(np.maximum(s1 - lhs, s2 - s1), np.maximum(s3 - s2, 0.0))
-    return np.where(total > 0, worst, 0.0)
+        s2 = 0.5 * (np.minimum(a, b + 2.0 * c) + np.minimum(c, b + 2.0 * a))
+        s3 = 0.5 * (np.minimum(a, b) + np.minimum(b, c))
+        worst = np.maximum(np.maximum(s1 - lhs, s2 - s1),
+                           np.maximum(s3 - s2, 0.0))
+    return np.where(total == 0.0, 0.0, worst)
 
 
 def check_split_chain(a: float, b: float, c: float) -> CheckReport:
     """Verify the relaxation chain from the exact three-point quadratic
     coefficient to the half-sum of pairwise minima, step by step."""
+    _require_finite(a, b, c)
     if a < 0 or b < 0 or c < 0:
         raise ValueError("weights must be nonnegative")
     return CheckReport.from_run("split-chain", _chain_violation(a, b, c), 1,

@@ -58,6 +58,24 @@ def _zoom_unit_square(f, pt, best, half, inside):
     return pt, best, evals
 
 
+def _simplex_grid_values(a, rows):
+    """max(a_1 / q, a_2 / r, a_3 / w) on (q, r, w) rows; boundary rows, and
+    rows whose 1 - q - r rounds negative, score inf."""
+    with np.errstate(divide="ignore"):
+        vals = np.maximum(np.maximum(a[0] / rows[:, 0], a[1] / rows[:, 1]),
+                          a[2] / rows[:, 2])
+    vals[(rows <= 0.0).any(axis=1)] = np.inf
+    return vals
+
+
+def _simplex_grid_400():
+    """The (q, r, 1 - q - r) rows of the step-1/400 grid, q fastest."""
+    ii, jj = np.meshgrid(np.arange(401), np.arange(401))
+    keep = ii + jj <= 400
+    q, r = ii[keep] / 400, jj[keep] / 400
+    return np.column_stack([q, r, 1.0 - q - r])
+
+
 def _simplex_min_3d(a):
     """Reference 3-D simplex check of one draw: scan the step-1/400 grid,
     then zoom on the points (q, r) with q + r <= 1.  Returns (error,
@@ -67,17 +85,9 @@ def _simplex_min_3d(a):
     err_analytic = abs(float(np.max(np.array(a) / r_star)) - total) / total
 
     def f(rows):
-        # boundary rows, and rows whose 1 - q - r rounds negative, score inf
-        with np.errstate(divide="ignore"):
-            vals = np.maximum(np.maximum(a[0] / rows[:, 0], a[1] / rows[:, 1]),
-                              a[2] / rows[:, 2])
-        vals[(rows <= 0.0).any(axis=1)] = np.inf
-        return vals
+        return _simplex_grid_values(a, rows)
 
-    ii, jj = np.meshgrid(np.arange(401), np.arange(401))
-    keep = ii + jj <= 400
-    q, r = ii[keep] / 400, jj[keep] / 400
-    rows = np.column_stack([q, r, 1.0 - q - r])
+    rows = _simplex_grid_400()
     vals = f(rows)
     i = int(np.argmin(vals))
     _, best, evals = _zoom_unit_square(
@@ -144,6 +154,32 @@ class TestSimplexInfimum:
         ref = [_simplex_min_3d(tuple(a)) for a in simplex.tolist()]
         assert list(zip(err.tolist(), evals.tolist())) == ref
 
+    @pytest.mark.parametrize("seed", [3, 19])
+    def test_interior_scan_picks_the_full_grid_argmin(self, seed):
+        # equal or commensurate masses put the minimum on or near symmetric
+        # grid points: (1, 1, 1) ties two of them, and the first in grid
+        # order must win, as in the full-grid scan
+        rng = np.random.default_rng(seed)
+        masses = np.vstack([[1.0, 1.0, 1.0], [2.0, 2.0, 1.0], [1.0, 2.0, 2.0],
+                            [1.0, 2.0, 3.0], [3.0, 1.0, 1.0],
+                            rng.integers(1, 5, (20, 3)).astype(float),
+                            10.0 * (1.0 - rng.random((20, 3)))])
+        rows = _simplex_grid_400()
+        ties = 0
+        for a in masses.tolist():
+            vals = _simplex_grid_values(a, rows)
+            ties += int(np.sum(vals == vals.min()) > 1)
+            i = int(np.argmin(vals))
+            assert verify._simplex_argmin(400, *a) \
+                == (rows[i, 0], rows[i, 1], vals[i])
+        assert ties >= 1
+
+    @pytest.mark.parametrize("a", [(float("nan"), 1.0), (1.0, float("inf")),
+                                   (1.0, 2.0, float("nan"))])
+    def test_rejects_non_finite_masses(self, a):
+        with pytest.raises(ValueError):
+            verify.check_simplex_infimum(a)
+
     def test_rejects_unsupported_dimension(self):
         with pytest.raises(ValueError):
             verify.check_simplex_infimum((1.0, 1.0, 1.0, 1.0))
@@ -167,6 +203,14 @@ class TestTwoPointQuadratic:
         rep = verify.check_two_point_quadratic(0.2, 1.7, 0.4, -1.0, 2.5)
         assert rep.passed
 
+    @pytest.mark.parametrize("args", [
+        (0.5, math.inf, 1.0, 0.0, 1.0), (0.5, 1.0, math.nan, 0.0, 1.0),
+        (math.nan, 1.0, 1.0, 0.0, 1.0), (0.5, 1.0, 1.0, -math.inf, 1.0),
+        (0.5, 1.0, 1.0, 0.0, math.inf)])
+    def test_rejects_non_finite_inputs(self, args):
+        with pytest.raises(ValueError):
+            verify.check_two_point_quadratic(*args)
+
 
 class TestThreePointQuadratic:
     def test_symmetric_masses_center_the_minimizer(self):
@@ -180,6 +224,14 @@ class TestThreePointQuadratic:
     def test_random_shape(self):
         rep = verify.check_three_point_quadratic(0.3, 1.1, 0.6, 2.0, 0.4)
         assert rep.passed
+
+    @pytest.mark.parametrize("args", [
+        (1.0, 1.0, 1.0, math.nan, 1.0), (1.0, 1.0, 1.0, 0.0, math.inf),
+        (math.nan, 1.0, 1.0, 0.0, 1.0), (1.0, math.inf, 1.0, 0.0, 1.0),
+        (1.0, 1.0, 1.0, math.inf, 1.0)])
+    def test_rejects_non_finite_inputs(self, args):
+        with pytest.raises(ValueError):
+            verify.check_three_point_quadratic(*args)
 
 
 class TestSplitChain:
@@ -204,6 +256,26 @@ class TestSplitChain:
         for row, got in zip(triples.tolist(), batch):
             assert got == _chain_violation_scalar(*row)
         assert verify._chain_violation(0.0, 0.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 1.0),
+                                      (1.0, math.inf, 1.0),
+                                      (0.0, 0.0, math.inf)])
+    def test_rejects_non_finite_weights(self, args):
+        with pytest.raises(ValueError):
+            verify.check_split_chain(*args)
+
+    def test_non_finite_triple_fails_the_batch(self):
+        # only an all-zero triple scores 0; a NaN or infinite one scores NaN
+        triples = np.array([[1.0, 1.0, 1.0], [math.nan, 1.0, 1.0],
+                            [1.0, math.inf, 1.0], [0.0, 0.0, math.inf],
+                            [0.0, 0.0, 0.0]])
+        with np.errstate(all="raise"):
+            got = verify._chain_violation(*triples.T)
+        assert got[0] == _chain_violation_scalar(1.0, 1.0, 1.0)
+        assert np.isnan(got[1:4]).all() and got[4] == 0.0
+        rep = verify.CheckReport.from_run(
+            "split-chain-random", float(np.max(got)), len(triples), 1e-12)
+        assert not rep.passed
 
 
 class TestCorrelationExpansion:
@@ -324,6 +396,33 @@ class TestRowSearch:
                            1e-9, 1.0 - 1e-9, 401)
         assert rep.samples == ref[2]
         assert rep.max_abs_error == abs(ref[1] - 3.0) / 3.0
+
+    def test_scans_in_chunks_then_zooms_every_row_at_once(self):
+        rng = np.random.default_rng(21)
+        m = 1000
+        lo = rng.normal(size=m)
+        hi = lo + rng.uniform(0.1, 3.0, m)
+        a, b = rng.uniform(0.0, 2.0, m), rng.normal(size=m)
+        calls = []
+
+        def f(x, rows):
+            calls.append(x.shape)
+            return a[rows, None] * (x - b[rows, None]) ** 2
+
+        x_rows, v_rows, n_rows = verify._zoom_min_rows(f, lo, hi, 2001)
+        scans = [c for c in calls if c[1] == 2001]
+        zooms = [c for c in calls if c[1] == 13]
+        assert len(scans) + len(zooms) == len(calls)
+        assert max(c[0] for c in scans) <= verify._CHUNK
+        assert sum(c[0] for c in scans) == m
+        assert len(scans) == math.ceil(m / verify._CHUNK)
+        # one call a zoom round, the first one taking every row
+        rounds = (n_rows - 2001) // 13
+        assert len(zooms) == rounds.max() and zooms[0][0] == m
+        for k in range(m):
+            ref = _zoom_min_1d(lambda x: a[k] * (x - b[k]) ** 2,
+                               float(lo[k]), float(hi[k]), 2001)
+            assert (x_rows[k], v_rows[k], n_rows[k]) == ref
 
     def test_short_last_chunk(self):
         _, two, three, _ = _suite_draws(1729)
