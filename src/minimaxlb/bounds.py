@@ -56,11 +56,9 @@ __all__ = [
 
 _DEFAULT_S_DOMAIN = Interval(0.0, 20.0)
 # outer grid of the nested bounds: its 65 spacings are solved in lockstep,
-# _NESTED_SLICE to a row batch of the inner search (the Gaussian split of a
-# (65, 1025) batch peaks 7 MB above import, of a (13, 1025) one 2 MB), and
-# a joint zoom over spacing and inner coordinates refines the best
+# one row batch of the inner search, and a joint zoom over spacing and inner
+# coordinates refines the best
 _NESTED_CELLS = 64
-_NESTED_SLICE = 13
 
 
 @dataclass(frozen=True)
@@ -195,6 +193,17 @@ def _require_pe_pair(model: Model):
     return limit.pe_pair
 
 
+def _require_inside(model: Model, bound: str, **thetas) -> None:
+    """Refuse a finite-sample test point that is missing or outside the
+    model's (open) parameter space."""
+    space = model.descriptor.parameter_space
+    for key, theta in thetas.items():
+        if theta is None or not space.lo < theta < space.hi:
+            raise ValueError(f"finite-sample {bound} bound needs {key} inside "
+                             f"the parameter space ({space.lo:g}, "
+                             f"{space.hi:g})")
+
+
 def _as_domain(domain) -> Interval:
     return _DEFAULT_S_DOMAIN if domain is None else _as_interval(domain)
 
@@ -210,23 +219,25 @@ def _pair_risk(pe, a, b):
     return np.where(safe, mass * np.asarray(pe(c), dtype=float), 0.0)
 
 
-def _vec_max_01(fvec):
+def _vec_max_01(fvec, batch: int = 1):
     """Maximize a vectorized scalar function on [0, 1] by a 1025-point scan
     plus zoom; returns (argmax, value).  A batch front end as well: an fvec
-    that maps the shared (m,) scan to (B, m) values solves B problems in
-    lockstep (see maximize_zoom), and argmax and value are (B,) arrays."""
+    that maps the shared (m,) scan to (``batch``, m) values solves that many
+    problems in lockstep (see maximize_zoom), and argmax and value are
+    (batch,) arrays."""
     opt = maximize_zoom(lambda x: fvec(x[..., 0]),
-                        np.linspace(0.0, 1.0, 1025)[:, None], 1.0 / 1024, 1e-12)
+                        np.linspace(0.0, 1.0, 1025)[:, None], 1.0 / 1024, 1e-12,
+                        batch=batch)
     return opt.argmax[0], opt.value
 
 
-def _max_box2(fvec):
+def _max_box2(fvec, batch: int = 1):
     """Maximize a vectorized function over [0,1]^2 by a 65 x 65 scan plus
     zoom; fvec maps (m,2) -> (m,).  Returns ((x, y), value).  A batch front
-    end as well, like _vec_max_01: then x, y and value are (B,) arrays."""
+    end as well, like _vec_max_01: then x, y and value are (batch,) arrays."""
     xx, yy = np.meshgrid(np.linspace(0.0, 1.0, 65), np.linspace(0.0, 1.0, 65))
     opt = maximize_zoom(fvec, np.column_stack([xx.ravel(), yy.ravel()]),
-                        1.0 / 64, 1e-12)
+                        1.0 / 64, 1e-12, batch=batch)
     return opt.argmax, opt.value
 
 
@@ -307,10 +318,7 @@ def _pair_source(model: Model, theta: float, n: Optional[int],
 
         return pe, None if limit_split is None else split
     oracle = _require_oracle(model)
-    space = model.descriptor.parameter_space
-    if theta0 is None or not space.lo < theta0 < space.hi:
-        raise ValueError(f"finite-sample {bound} bound needs theta0 inside "
-                         f"the parameter space ({space.lo:g}, {space.hi:g})")
+    _require_inside(model, bound, theta0=theta0)
 
     def per_spacing(fn):
         # the oracle takes scalar test points: call fn(theta_lo, theta_hi,
@@ -349,16 +357,19 @@ def _edge_notes(x: float, domain: Interval) -> tuple:
 def _nested_max(joint, domain: Interval, solve=None, simplex=None):
     """Outer search of a nested bound: joint(x, *row) is the objective at
     spacings x and inner rows (as columns), broadcast together.  solve(xs)
-    solves the inner problem at every grid spacing at once, one row batch of
-    a front end, and returns (argmax rows as columns, values); ``simplex`` =
-    dim makes maximize_simplex the front end instead.  The best grid spacing
-    seeds one joint zoom over (spacing, inner coordinates), a simplex row's
-    last weight derived.  Returns (x*, row).
+    solves the inner problem at all 65 grid spacings at once, one row batch
+    of a front end whose scan goes in pieces of at most maximize_zoom's
+    value budget and whose zoom rounds take every spacing together, and
+    returns (argmax rows as columns, values); ``simplex`` = dim makes
+    maximize_simplex the front end instead.  The best grid spacing seeds one
+    joint zoom over (spacing, inner coordinates), a simplex row's last
+    weight derived.  Returns (x*, row).
     """
     if simplex:
         def solve(xs):
             opt = maximize_simplex(lambda rows: joint(
-                xs[:, None], *np.moveaxis(rows, -1, 0)), simplex)
+                xs[:, None], *np.moveaxis(rows, -1, 0)), simplex,
+                batch=len(xs))
             return opt.argmax, opt.value
     lift = {2: _lift_simplex2, 3: _lift_simplex3}.get(simplex)
 
@@ -369,10 +380,7 @@ def _nested_max(joint, domain: Interval, solve=None, simplex=None):
                                axis=-1), inside)
 
     grid = np.linspace(0.0, 1.0, _NESTED_CELLS + 1)
-    parts = [solve(_to_domain(grid[i:i + _NESTED_SLICE], domain))
-             for i in range(0, len(grid), _NESTED_SLICE)]
-    row = [np.concatenate(c) for c in zip(*(p[0] for p in parts))]
-    values = np.concatenate([p[1] for p in parts])
+    row, values = solve(_to_domain(grid, domain))
     best = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
     coords = [c[best] for c in row[:len(row) - (lift is not None)]]
     opt = maximize_zoom(lambda rows: joint(*rows.T),
@@ -527,12 +535,12 @@ def moment_two_point_bound(model: Model, t: float, theta: float = 1.0,
     def solve(xs):
         if r_fixed is not None:
             return (), _vec_max_01(
-                lambda q: rows_value(xs[:, None], q, r_fixed))[1]
+                lambda q: rows_value(xs[:, None], q, r_fixed), len(xs))[1]
         if exact_split is None:
             (_, r), val = _max_box2(lambda qr: rows_value(
-                xs[:, None], qr[..., 0], qr[..., 1]))
+                xs[:, None], qr[..., 0], qr[..., 1]), len(xs))
             return (r,), val
-        r, val = _vec_max_01(lambda r: joint(xs[:, None], r))
+        r, val = _vec_max_01(lambda r: joint(xs[:, None], r), len(xs))
         return (r,), val
 
     d_star, row = _nested_max(joint, domain, solve)

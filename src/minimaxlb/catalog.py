@@ -251,9 +251,11 @@ def compute_bound(model_id: str, bound_id: str, loss: LossSpec, params: dict,
     # report so the rendering paths stay uniform
     if model.sampler is None:
         raise ValueError(f"model {model_id!r} has no sampler for mc-pe")
+    theta0, theta1 = float(params["theta0"]), float(params["theta1"])
+    bounds._require_inside(model, "mc-pe", theta0=theta0, theta1=theta1)
     est = models.monte_carlo_pe(
-        model.sampler, float(params.get("q", 0.5)), float(params["theta0"]),
-        float(params["theta1"]), n, _int_param(params, "trials", 100_000),
+        model.sampler, float(params.get("q", 0.5)), theta0, theta1, n,
+        _int_param(params, "trials", 100_000),
         DEFAULT_MC_SEED if seed is None else int(seed))
     return bounds.BoundReport(
         bound_id="mc-pe", model_id=model_id, value=est.estimate, loss=loss,

@@ -103,46 +103,62 @@ def _as_interval(domain) -> Interval:
 
 
 _ZOOM_STEPS = np.linspace(-1.0, 1.0, 13)
+# values per scan call of maximize_zoom: a batch of B problems is scanned
+# _SCAN_VALUES // B points at a time, so one Gaussian-split block of at most
+# 13 x 1025 values is alive at a time whatever B is
+_SCAN_VALUES = 13 * 1025
 
 
 def maximize_zoom(f, scan: np.ndarray, half: float, stop: float,
-                  lift=None) -> OptResult:
+                  lift=None, *, batch: int = 1) -> OptResult:
     """Maximize a vectorized f over coordinates in [0, 1]^d, d <= 3.
 
-    f maps an (m, k) array of rows to m values; or, for B problems in
-    lockstep, the (m, d) ``scan`` points to (B, m) values and later (B, m',
-    k) rows to (B, m').  Other shapes raise ValueError; NaN counts as -inf.
-    After the scan each incumbent, moving only on a strict improvement, gets
-    a stencil of 13 points per axis clipped to [0, 1], half-width ``half``
-    shrinking by 0.35 per round while above ``stop``.  ``lift`` maps
-    coordinates to (rows, feasible mask or None); infeasible points score
-    -inf, uncounted.  ``value`` is f re-evaluated at the returned row and
-    ``evaluations`` counts rows; for a batch both argmax and value hold
-    arrays over the problems.
+    f maps an (m, k) array of rows to m values; or, for ``batch`` = B
+    problems in lockstep, (m, k) scan rows to (B, m) values and later (B,
+    m', k) stencil rows to (B, m').  Other shapes raise ValueError; NaN
+    counts as -inf.  The scan is scored in pieces of max(1, _SCAN_VALUES //
+    B) points, so a single problem's grid of up to 13 325 points is one
+    call; across pieces the first maximum in scan order wins, as in one
+    call.  After the scan each incumbent, moving only on a strict
+    improvement, gets a stencil of 13 points per axis clipped to [0, 1],
+    half-width ``half`` shrinking by 0.35 per round while above ``stop``.
+    ``lift`` maps coordinates to (rows, feasible mask or None); infeasible
+    points score -inf, uncounted.  ``value`` is f re-evaluated at the
+    returned row and ``evaluations`` counts rows; for a batch both argmax
+    and value hold arrays over the problems.
     """
     rows_of = lift or (lambda coords: (coords, None))
-    rows, inside = rows_of(scan)
-    vals = np.asarray(f(rows), dtype=float)
-    batched = vals.ndim == 2 and vals.shape[1] == len(scan)
-    if not (batched or vals.shape == (len(scan),)):
-        raise ValueError("f must return one value per row")
-    pick = np.arange(vals.size // len(scan))
+    pick = np.arange(batch)
     d = scan.shape[1]   # stencil offsets, the first axis varying fastest
     offsets = _ZOOM_STEPS[np.indices((13,) * d).reshape(d, -1)[::-1].T]
     evals = 0
 
     def score(values, inside):
         nonlocal evals
-        values = np.asarray(values, dtype=float).reshape(len(pick), -1)
+        values = np.asarray(values, dtype=float).reshape(batch, -1)
         if inside is not None:
             inside = np.broadcast_to(inside, values.shape)
             values = np.where(inside, values, -np.inf)
         evals += values.size if inside is None else int(inside.sum())
         return np.where(np.isnan(values), -np.inf, values)
 
-    vals = score(vals, inside)
-    i = np.argmax(vals, axis=1)
-    best, best_v = scan[i], vals[pick, i]
+    best = np.repeat(scan[:1], batch, axis=0)
+    best_v = np.full(batch, -np.inf)
+    piece = max(1, _SCAN_VALUES // batch)
+    for start in range(0, len(scan), piece):
+        coords = scan[start:start + piece]
+        rows, inside = rows_of(coords)
+        vals = np.asarray(f(rows), dtype=float)
+        batched = vals.shape == (batch, len(coords))
+        if not (batched or batch == 1 and vals.shape == (len(coords),)):
+            raise ValueError("f must return one value per row")
+        vals = score(vals, inside)
+        i = np.argmax(vals, axis=1)
+        top = vals[pick, i]
+        better = top > best_v
+        best[better] = coords[i[better]]
+        best_v[better] = top[better]
+
     while half > stop:
         cand = np.clip(best[:, None, :] + half * offsets, 0.0, 1.0)
         rows, inside = rows_of(cand)
@@ -156,7 +172,7 @@ def maximize_zoom(f, scan: np.ndarray, half: float, stop: float,
     rows = rows_of(best)[0]
     final = np.asarray(f(rows[:, None] if batched else rows),
                        dtype=float).reshape(-1)
-    evals += len(pick)
+    evals += batch
     if batched:
         return OptResult(argmax=tuple(rows.T), value=final, evaluations=evals)
     return OptResult(argmax=tuple(float(x) for x in rows[0]),
@@ -207,11 +223,11 @@ def _lift_simplex3(c: np.ndarray):
     return np.clip(rows, 0.0, 1.0, out=rows), q + r <= 1.0 + 1e-15
 
 
-def maximize_simplex(f, dim: int) -> OptResult:
+def maximize_simplex(f, dim: int, *, batch: int = 1) -> OptResult:
     """Maximize f over the probability simplex with ``dim`` weights.
 
     f receives an (m, dim) array of weight rows (nonnegative, summing to
-    one) and returns m values, or (B, m) values for a batch of B problems
+    one) and returns m values, or (B, m) values for ``batch`` = B problems
     (see maximize_zoom).
 
     Barycentric grid scan (1025 points for dim 2, step 1/64 for dim 3)
@@ -223,8 +239,9 @@ def maximize_simplex(f, dim: int) -> OptResult:
         raise ValueError("maximize_simplex supports dim 2 or 3 only")
     if dim == 2:
         return maximize_zoom(f, np.linspace(0.0, 1.0, 1025)[:, None],
-                             1.0 / 16, 1e-11, _lift_simplex2)
-    return maximize_zoom(f, _SIMPLEX3_GRID, 1.0 / 64, 1e-11, _lift_simplex3)
+                             1.0 / 16, 1e-11, _lift_simplex2, batch=batch)
+    return maximize_zoom(f, _SIMPLEX3_GRID, 1.0 / 64, 1e-11, _lift_simplex3,
+                         batch=batch)
 
 
 def _adaptive_simpson(f, a, fa, m, fm, b, fb, whole, tol, depth):

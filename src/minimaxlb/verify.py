@@ -11,13 +11,16 @@ of one or two coordinates at once, each row with its own box and stop rule,
 so each random check of the default suite is one batched search instead of
 one Python call per draw.  Its draws are scanned in bounded pieces (the 1-D
 checks ``_CHUNK`` rows at a time, the 3-D simplex draws one at a time), and
-then all of them zoom together in one ``_zoom_rows`` call.  The public
-checks are one-row calls of the same code.  A row does the same
-floating-point operations whatever batch it sits in, so a draw's error does
-not depend on how the draws are batched.  For the
-same reason the objectives divide where the closed forms divide (a_i / r_i,
-not a_i times a cached 1 / r_i): a product with a rounded reciprocal can
-differ from the quotient in the last bit, and such a change would move the
+then all of them zoom together in one ``_zoom_rows`` call.  A 3-D draw
+covers its whole step-1/400 grid but scores only the rectangle of points
+that a monotonicity bound cannot rule out (``_simplex_argmin``); its
+evaluation count is the grid points covered, scored or excluded, plus the
+zoom's.  The public checks are one-row calls of the same code.  A row does
+the same floating-point operations whatever batch it sits in, so a draw's
+error does not depend on how the draws are batched.  For the same reason
+the objectives divide where the closed forms divide (a_i / r_i, not a_i
+times a cached 1 / r_i): a product with a rounded reciprocal can differ
+from the quotient in the last bit, and such a change would move the
 brute-force minimum a check compares against.
 """
 
@@ -136,44 +139,56 @@ def _require_finite(*values) -> None:
 
 @functools.lru_cache(maxsize=4)
 def _simplex_rows(d: int):
-    """Read-only arrays of the interior points of the step-1/d barycentric
-    simplex grid, built on first use and shared by every later call: the
-    levels 1/d, 2/d, ..., 1, the positions of q and r in those levels, and
-    w = 1 - q - r.  The grid runs over q = i/d fastest, then r = j/d, with
-    i + j <= d; its boundary points (a zero q or r, or a w that rounds to 0
-    or below) are left out, as they score +inf."""
-    ii, jj = np.meshgrid(np.arange(d + 1), np.arange(d + 1))
-    keep = ii + jj <= d
-    q = ii[keep] / d
-    r = jj[keep] / d
-    w = 1.0 - q - r
-    inner = (q > 0.0) & (r > 0.0) & (w > 0.0)
-    rows = (np.arange(1, d + 1) / d, (ii[keep][inner] - 1).astype(np.int16),
-            (jj[keep][inner] - 1).astype(np.int16), w[inner])
-    for x in rows:
-        x.flags.writeable = False
-    return rows
+    """The levels 1/d, 2/d, ..., 1 of the step-1/d barycentric simplex
+    grid, read-only, built on first use and shared by every later call.  The
+    grid runs over q = i/d fastest, then r = j/d, with i + j <= d and
+    w = 1 - q - r; its boundary points (a zero q or r, or a w that rounds to
+    0 or below) score +inf."""
+    levels = np.arange(1, d + 1) / d
+    levels.flags.writeable = False
+    return levels
 
 
 def _simplex_argmin(d: int, a0, a1, a2) -> tuple:
-    """The first point (q, r) of the step-1/d simplex grid, in grid order,
-    minimizing max(a0 / q, a1 / r, a2 / w), and that minimum.  A point costs
-    one division, as a0 / q and a1 / r take only the d values a0 / level
-    and a1 / level."""
-    levels, qi, ri, w = _simplex_rows(d)
-    vals = np.take(a0 / levels, qi)
-    np.maximum(vals, np.take(a1 / levels, ri), out=vals)
-    np.maximum(vals, a2 / w, out=vals)
-    k = np.argmin(vals)
-    return levels[qi[k]], levels[ri[k]], vals[k]
+    """The first point (q, r) = (i/d, j/d) of the step-1/d simplex grid, in
+    grid order, minimizing max(a0 / q, a1 / r, a2 / w), and that minimum.
+
+    Only a rectangle of the grid is scored.  Let V be the value at the
+    interior point nearest the proportional split.  Correctly rounded
+    division and subtraction are monotone, so a0 / q falls as i grows, a1 / r
+    as j grows, and a2 / w (w > 0) rises with both.  Hence every point with i
+    below the first i where a0 / q <= V, or j below the first j where
+    a1 / r <= V, scores above V; so does every point past the last i where
+    a2 / w <= V along that first j, or past the last j where a2 / w <= V
+    along that first i.  The first argmin in grid order is inside the
+    rectangle, which is scored in grid order."""
+    levels = _simplex_rows(d)
+    total = a0 + a1 + a2
+    i0 = min(max(int(round(d * a0 / total)), 1), d - 2)
+    j0 = min(max(int(round(d * a1 / total)), 1), d - 1 - i0)
+    q0, r0 = levels[i0 - 1], levels[j0 - 1]
+    bound = max(a0 / q0, a1 / r0, a2 / (1.0 - q0 - r0))
+    lo_i = int(np.argmax(a0 / levels <= bound))
+    lo_j = int(np.argmax(a1 / levels <= bound))
+    with np.errstate(divide="ignore"):
+        w_i = 1.0 - levels - levels[lo_j]
+        w_j = 1.0 - levels[lo_i] - levels
+        hi_i = np.flatnonzero((w_i > 0.0) & (a2 / w_i <= bound))[-1]
+        hi_j = np.flatnonzero((w_j > 0.0) & (a2 / w_j <= bound))[-1]
+        q = levels[lo_i:hi_i + 1]
+        r = levels[lo_j:hi_j + 1, None]
+        w = 1.0 - q - r
+        vals = np.maximum(np.maximum(a0 / q, a1 / r), a2 / w)
+    vals[w <= 0.0] = np.inf   # boundary points
+    k = np.unravel_index(np.argmin(vals), vals.shape)
+    return q[k[1]], r[k[0], 0], vals[k]
 
 
 def _simplex_errors(*a):
     """Errors of check_simplex_infimum on d = 2 or 3 arrays of masses (a_1
     of each draw, a_2 of each draw, ...) and the evaluations each draw took.
-    For d = 3 each draw scans the step-1/400 grid alone, so one 79 401-point
-    array of its interior is alive at a time; then all draws zoom
-    together."""
+    For d = 3 each draw covers the step-1/400 grid alone (_simplex_argmin),
+    counted as all its 80 601 points; then all draws zoom together."""
     total = sum(a)
     analytic = np.max([x / (x / total) for x in a], axis=0)
 

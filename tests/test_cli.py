@@ -120,6 +120,32 @@ class TestCompute:
         value = json.loads(out)["value"]
         assert abs(value - 0.5 * math.erfc(0.5 / math.sqrt(2.0))) < 0.015
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_monte_carlo_needs_an_observation(self, capsys, n):
+        # n = 0 used to report 0.5072 (every row decided by the prior) and
+        # n = -2 numpy's "negative dimensions are not allowed"
+        rc, out, err = run_cli(capsys, "compute", "--model", "gauss-location",
+                               "--bound", "mc-pe", "--theta0", "0",
+                               "--theta1", "1", "--n", n, "--trials", "10000")
+        assert rc == 2 and out == ""
+        assert "need n >= 1" in err
+
+    @pytest.mark.parametrize("model_id,theta0,theta1,bad", [
+        ("uniform-scale", "-1", "1", "theta0"),
+        ("uniform-scale", "1", "0", "theta1"),
+        ("exp-rate", "0", "2", "theta0"),
+        ("gauss-location", "0", "inf", "theta1"),
+        ("uniform-location", "nan", "1", "theta0")])
+    def test_monte_carlo_points_stay_in_the_parameter_space(
+            self, capsys, model_id, theta0, theta1, bad):
+        rc, out, err = run_cli(capsys, "compute", "--model", model_id,
+                               "--bound", "mc-pe", f"--theta0={theta0}",
+                               f"--theta1={theta1}", "--trials", "10000")
+        space = models.get_model(model_id).descriptor.parameter_space
+        assert rc == 2 and out == ""
+        assert (f"finite-sample mc-pe bound needs {bad} inside the parameter "
+                f"space ({space.lo:g}, {space.hi:g})") in err
+
     def test_sample_size_runs_the_nested_bounds_on_the_oracle(self, capsys):
         # at n = 50 the Gaussian oracle is the local limit with spacings
         # shrunk by sqrt(50), so the moment bound is the local value / 50

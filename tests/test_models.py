@@ -425,6 +425,59 @@ class TestMonteCarlo:
         assert n * trials > 3 * models._MC_CHUNK_DRAWS
         assert est.estimate == errors / trials
 
+    @pytest.mark.parametrize("sampler, theta0, theta1", [
+        (models.UniformScaleSampler(), 1.0, 1.05),
+        (models.UniformScaleSampler(), 1.05, 1.0),
+        (models.UniformLocationSampler(), 0.0, 0.01),
+        (models.UniformLocationSampler(), 0.01, 0.0)])
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    def test_a_sure_prior_matches_the_full_likelihoods(self, sampler, theta0,
+                                                       theta1, q):
+        # a log prior of -inf meets a log-likelihood of -inf on rows outside
+        # one support: the decision is -inf >= -inf (or -inf >= finite), the
+        # same from the per-row statistic as from the full likelihoods
+        n, trials, seed = 16, 20_000, 5
+        rng = np.random.default_rng(seed)
+        is_h1 = rng.random(trials) >= q
+        x = np.empty((trials, n))
+        x[~is_h1] = sampler.sample(rng, theta0, n, int((~is_h1).sum()))
+        x[is_h1] = sampler.sample(rng, theta1, n, int(is_h1.sum()))
+        log_q0 = math.log(q) if q > 0 else -math.inf
+        log_q1 = math.log(1.0 - q) if q < 1 else -math.inf
+        decide_h0 = (log_q0 + sampler.log_likelihood(x, theta0)
+                     >= log_q1 + sampler.log_likelihood(x, theta1))
+        errors = int(np.count_nonzero(decide_h0 == is_h1))
+        est = models.monte_carlo_pe(sampler, q, theta0, theta1, n, trials, seed)
+        assert est.estimate == errors / trials
+
+    @pytest.mark.parametrize("sampler", [
+        models.GaussianLocationSampler(0.7), models.UniformScaleSampler(),
+        models.UniformLocationSampler(), models.ExponentialRateSampler()])
+    def test_statistic_ranks_hypotheses_as_the_likelihood(self, sampler):
+        # stat_log_likelihood is the log-likelihood up to a term that does
+        # not depend on theta
+        rng = np.random.default_rng(3)
+        x = sampler.sample(rng, 1.0, 5, 200)
+        stat = sampler.statistic(x)
+        gaps = []
+        for t in (1.0, 1.02, 1.5):
+            full = sampler.log_likelihood(x, t)
+            reduced = sampler.stat_log_likelihood(stat, 5, t)
+            assert np.array_equal(np.isneginf(full), np.isneginf(reduced))
+            fits = np.isfinite(full)
+            gaps.append(np.where(fits, full - np.where(fits, reduced, 0.0),
+                                 np.nan))
+        gaps = np.array(gaps)
+        assert np.isfinite(gaps).all(axis=0).any()
+        spread = np.nanmax(gaps, axis=0) - np.nanmin(gaps, axis=0)
+        assert np.nanmax(spread) <= 1e-12
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_requires_an_observation(self, n):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            models.monte_carlo_pe(models.GaussianLocationSampler(1.0),
+                                  0.5, 0.0, 1.0, n, 10_000, 1)
+
     def test_requires_enough_trials(self):
         with pytest.raises(ValueError):
             models.monte_carlo_pe(models.GaussianLocationSampler(1.0),

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import oracles
-from minimaxlb.numerics import (Interval, OptResult, QuadratureError,
+from minimaxlb import numerics
+from minimaxlb.numerics import (_SIMPLEX3_GRID, Interval, OptResult,
+                                QuadratureError, _lift_simplex3,
                                 gaussian_tail, integrate_adaptive,
                                 integrate_semi_infinite, maximize_1d,
-                                maximize_simplex)
+                                maximize_simplex, maximize_zoom)
 
 
 class TestInterval:
@@ -180,6 +182,134 @@ class TestMaximizeSimplex:
             return rows[:, 0] * rows[:, 1] * rows[:, 2]
         res = maximize_simplex(f, dim=3)
         assert res.value == f(np.array([res.argmax]))[0]
+
+
+def _batch_scan(f, budget, monkeypatch, lift=None, scan=None, batch=4):
+    """maximize_zoom on B = ``batch`` problems with the scan's value budget
+    set to ``budget``; returns the result and the value count of each scan
+    call (scan calls get (m, k) rows, stencil calls (B, m', k) ones)."""
+    monkeypatch.setattr(numerics, "_SCAN_VALUES", budget)
+    sizes = []
+
+    def counted(rows):
+        vals = f(rows)
+        if rows.ndim == 2:
+            sizes.append(np.size(vals))
+        return vals
+
+    scan = np.linspace(0.0, 1.0, 41)[:, None] if scan is None else scan
+    res = maximize_zoom(counted, scan, 1.0 / 40, 1e-12, lift, batch=batch)
+    return res, sizes
+
+
+def _same_result(a, b):
+    assert all(np.array_equal(x, y) for x, y in zip(a.argmax, b.argmax))
+    assert np.array_equal(a.value, b.value)
+    assert a.evaluations == b.evaluations
+
+
+class TestPiecedScan:
+    """A batch of B problems scans _SCAN_VALUES // B points a call; it must
+    find what one call over the whole scan finds."""
+
+    PEAKS = np.array([0.13, 0.5, 0.77, 0.99])
+
+    def peaks(self, x):
+        return -(x[..., 0] - self.PEAKS[:, None]) ** 2
+
+    @pytest.mark.parametrize("budget", [4, 12, 40, 4 * 41 - 1])
+    def test_pieces_match_one_scan(self, budget, monkeypatch):
+        whole, sizes = _batch_scan(self.peaks, 10 ** 9, monkeypatch)
+        assert sizes == [4 * 41]
+        pieced, sizes = _batch_scan(self.peaks, budget, monkeypatch)
+        assert len(sizes) > 1 and max(sizes) <= budget
+        _same_result(pieced, whole)
+        assert np.allclose(pieced.argmax[0], self.PEAKS, atol=1e-9)
+
+    def test_a_tie_across_a_piece_boundary_keeps_the_first_point(
+            self, monkeypatch):
+        # 10 points a piece: the plateau at scan points 8-12 straddles the
+        # boundary at 10, and the second row's equal maxima at points 12 and
+        # 25 lie in different pieces; the first in scan order wins
+        def f(x):
+            i = np.rint(x[..., 0] * 40)
+            plateau = np.where((i >= 8) & (i <= 12), 1.0, 0.0)
+            apart = np.where((i == 12) | (i == 25), 1.0, 0.0)
+            return np.stack([plateau, apart]) if x.ndim == 2 else \
+                np.stack([plateau[0], apart[1]])
+
+        for budget in (20, 10 ** 9):
+            res, _ = _batch_scan(f, budget, monkeypatch, batch=2)
+            assert res.argmax[0].tolist() == \
+                np.linspace(0.0, 1.0, 41)[[8, 12]].tolist()
+            assert res.value.tolist() == [1.0, 1.0]
+
+    def test_nan_scores_minus_infinity(self, monkeypatch):
+        # the first pieces are all NaN, and so is the best of the peaks
+        def f(x):
+            vals = self.peaks(x)
+            return np.where((x[..., 0] < 0.3) | (np.abs(vals) < 1e-3),
+                            np.nan, vals)
+
+        whole, _ = _batch_scan(f, 10 ** 9, monkeypatch)
+        pieced, sizes = _batch_scan(f, 8, monkeypatch)
+        assert len(sizes) == 21
+        _same_result(pieced, whole)
+        assert np.all(np.isfinite(pieced.value))
+
+    @pytest.mark.parametrize("budget", [3 * 100, 3 * 2144])
+    def test_a_lift_masks_points_in_every_piece(self, budget, monkeypatch):
+        # the simplex lift leaves out stencil points past q + r = 1; the
+        # scan and evaluations are those of one call
+        centers = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3],
+                            [1 / 3, 1 / 3, 1 / 3]])
+
+        def f(rows):
+            return -np.sum((rows - centers[:, None]) ** 2, axis=-1)
+
+        whole, sizes = _batch_scan(f, 10 ** 9, monkeypatch, _lift_simplex3,
+                                   _SIMPLEX3_GRID, batch=3)
+        assert sizes == [3 * 2145]
+        pieced, sizes = _batch_scan(f, budget, monkeypatch, _lift_simplex3,
+                                    _SIMPLEX3_GRID, batch=3)
+        assert max(sizes) <= budget and sum(sizes) == 3 * 2145
+        _same_result(pieced, whole)
+        assert np.allclose(np.column_stack(pieced.argmax)[:, :2],
+                           centers[:, :2], atol=1e-9)
+
+    def test_the_default_budget_scans_65_rows_in_five_pieces(self):
+        # the nested bounds' inner search: 65 spacings of a 1025-point scan
+        sizes = []
+
+        def f(x):
+            if x.ndim == 2:
+                sizes.append(65 * len(x))
+            return -(x[..., 0] - np.linspace(0.0, 1.0, 65)[:, None]) ** 2
+
+        res = maximize_zoom(f, np.linspace(0.0, 1.0, 1025)[:, None],
+                            1.0 / 1024, 1e-12, batch=65)
+        assert sizes == [65 * 205] * 5
+        assert max(sizes) <= numerics._SCAN_VALUES == 13 * 1025
+        assert np.allclose(res.argmax[0], np.linspace(0.0, 1.0, 65),
+                           atol=1e-12)
+
+    def test_a_single_simplex_problem_is_one_scan_call(self):
+        calls = []
+
+        def f(rows):
+            calls.append(rows.shape)
+            return rows[:, 0] * rows[:, 1] * rows[:, 2]
+
+        maximize_simplex(f, dim=3)
+        assert calls[0] == (2145, 3)
+        assert all(len(shape) == 2 and shape[0] == 13 ** 2
+                   for shape in calls[1:-1])
+
+    @pytest.mark.parametrize("shape", [(5, 41), (41,), (4, 40), (4, 41, 1)])
+    def test_rejects_other_shapes_for_a_batch(self, shape):
+        with pytest.raises(ValueError, match="one value per row"):
+            maximize_zoom(lambda x: np.zeros(shape), np.linspace(
+                0.0, 1.0, 41)[:, None], 1.0 / 40, 1e-12, batch=4)
 
 
 class TestQuadrature:

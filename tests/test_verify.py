@@ -174,6 +174,20 @@ class TestSimplexInfimum:
                 == (rows[i, 0], rows[i, 1], vals[i])
         assert ties >= 1
 
+    @pytest.mark.parametrize("a", [(1.0, 1.0, 1.0), (1.0, 1.0, 2.0),
+                                   (10.0, 10.0, 1e-3), (1e-3, 10.0, 10.0),
+                                   (1e-6, 1.0, 1.0)])
+    def test_bound_pruned_scan_matches_the_full_grid(self, a):
+        # masses that put the proportional split on or next to the grid's
+        # edges, where the pruning rectangle is thinnest
+        rows = _simplex_grid_400()
+        vals = _simplex_grid_values(a, rows)
+        i = int(np.argmin(vals))
+        assert verify._simplex_argmin(400, *a) \
+            == (rows[i, 0], rows[i, 1], vals[i])
+        rep = verify.check_simplex_infimum(a)
+        assert (rep.max_abs_error, rep.samples) == _simplex_min_3d(a)
+
     @pytest.mark.parametrize("a", [(float("nan"), 1.0), (1.0, float("inf")),
                                    (1.0, 2.0, float("nan"))])
     def test_rejects_non_finite_masses(self, a):
