@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import owens_t
 
 from .loss import LossSpec, RatePower, eval_rho, omega
-from .models import Model, _separation
+from .models import Model, _require_scale, _separation
 # integrate_semi_infinite is unused: bench/tracing.py rebinds it (ROADMAP 3)
 from .numerics import (Interval, _as_interval, _lift_simplex2, _lift_simplex3,
                        _to_domain, gaussian_tail, integrate_semi_infinite,
@@ -823,8 +823,7 @@ def rotation_nuisance_bound(sigma: float = 1.0, s_domain=None) -> BoundReport:
     the wedge integral I(s), and 3*sigma^2*s^2*I(s) is maximized over s; the
     bound decays at rate n.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    _require_scale("sigma", sigma)
     domain = _as_domain(s_domain) if s_domain is not None else Interval(0.0, 6.0)
     loss = LossSpec.mse()
 

@@ -8,6 +8,7 @@ entries without touching code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -160,7 +161,21 @@ def _int_param(params: dict, key: str, default: int) -> int:
 
 def _s_domain(params: dict):
     smax = params.get("smax")
-    return None if smax is None else Interval(0.0, float(smax))
+    if smax is None:
+        return None
+    smax = float(smax)
+    if not 0.0 < smax < math.inf:
+        raise ValueError("smax must be a finite positive number")
+    return Interval(0.0, smax)
+
+
+# every parameter key compute_bound reads (sigma is also the
+# nuisance-rotation bound's noise scale) and every model's; any other key is
+# refused rather than ignored
+_PARAM_KEYS = tuple(sorted(
+    {"theta", "theta0", "theta1", "n", "q", "trials", "smax", "prior", "r",
+     "inner", "w_zero", "transforms", "k", "thetas", "weights", "sigma"}
+    .union(*models.MODEL_PARAMS.values())))
 
 
 def compute_bound(model_id: str, bound_id: str, loss: LossSpec, params: dict,
@@ -170,6 +185,10 @@ def compute_bound(model_id: str, bound_id: str, loss: LossSpec, params: dict,
     if bound_id not in BOUND_IDS:
         raise ValueError(f"unknown bound id: {bound_id!r} "
                          f"(known: {', '.join(BOUND_IDS)})")
+    for key in params:
+        if key not in _PARAM_KEYS:
+            raise ValueError(f"unknown parameter: {key!r} "
+                             f"(known: {', '.join(_PARAM_KEYS)})")
     model_params = {k: float(params[k])
                     for k in models.MODEL_PARAMS.get(model_id, ()) if k in params}
     model = models.get_model(model_id, **model_params)

@@ -8,11 +8,15 @@ target.
 Exit codes: 0 success, 1 a reproduction entry or verification check failed,
 2 usage error (unknown id, malformed input, nothing to run), 3 numerical
 failure inside a computation.
+
+``main`` builds its argument parser on first use and reuses it for every
+later call in the process; ``build_parser`` returns a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -47,6 +51,7 @@ _FLOAT_FLAGS = ("sigma", "theta", "theta0", "theta1", "smax", "q")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the ``compute`` and ``reproduce`` subcommands."""
     parser = argparse.ArgumentParser(
         prog="minimaxlb",
         description="Local asymptotically minimax lower bounds on "
@@ -72,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="sample size for finite-sample oracles")
     comp.add_argument("--trials", type=int, default=None,
                       help="Monte-Carlo trial count")
-    comp.add_argument("--param", action="append", default=[],
+    # no shared default list: the parser outlives a call
+    comp.add_argument("--param", action="append", default=None,
                       metavar="K=V", help="extra parameter (repeatable)")
 
     rep = sub.add_parser("reproduce",
@@ -91,9 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: building one costs several times parsing with it
+_shared_parser = functools.cache(build_parser)
+
+
 def _collect_params(args) -> dict:
     params: dict = {}
-    for item in args.param:
+    for item in args.param or ():
         if "=" not in item:
             raise ValueError(f"--param expects K=V, got {item!r}")
         key, value = item.split("=", 1)
@@ -244,8 +254,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     if args.command == "compute":
         return _cmd_compute(args)
     return _cmd_reproduce(args)

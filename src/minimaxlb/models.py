@@ -372,10 +372,16 @@ def gaussian_location_pe(q, theta0, theta1, n: int, sigma: float):
     return binary_gaussian_error(q, _gaussian_distance(theta0, theta1, n, sigma))
 
 
+def _require_scale(name: str, value: float) -> None:
+    """Refuse a scale parameter that is not a finite positive number (an
+    infinite noise scale would otherwise make every test point coincide)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite positive number")
+
+
 def _gaussian_distance(theta0, theta1, n: int, sigma: float) -> float:
     """Distance of the two sample means in units of their standard error."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    _require_scale("sigma", sigma)
     if n < 1:
         raise ValueError("need n >= 1")
     return math.sqrt(n) * _separation(theta0, theta1) / sigma
@@ -432,8 +438,7 @@ def _min_form_limit(arms, rate: RatePower) -> LocalErrorLimit:
 def gaussian_location_limit(sigma: float) -> LocalErrorLimit:
     """Local limit of the Gaussian location model: contraction xi = n^(-1/2),
     pe_inf(theta, s) = Q(s/sigma), optimal prior identically 1/2."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    _require_scale("sigma", sigma)
     return _gaussian_limit(
         lambda theta, delta: delta / sigma,
         RatePower(0.5, 1.0, "n"))
@@ -480,17 +485,21 @@ def awgn_signal_limit(kind: str, *, pdot: float = None, n0: float = None,
     pe_inf(theta, s) = Q(sqrt(2*power*s/(n0*pulse_width))).
     """
     if kind == "smooth":
-        if pdot is None or n0 is None or not (pdot > 0 and n0 > 0):
-            raise ValueError("smooth kind needs pdot > 0 and n0 > 0")
+        if pdot is None or n0 is None:
+            raise ValueError("smooth kind needs pdot and n0")
+        _require_scale("pdot", pdot)
+        _require_scale("n0", n0)
         coef = math.sqrt(2.0 * pdot / n0)
         return _gaussian_limit(
             lambda theta, delta: coef * delta,
             RatePower(0.5, 1.0, "T"))
 
     if kind == "rect":
-        if power is None or n0 is None or pulse_width is None or \
-                not (power > 0 and n0 > 0 and pulse_width > 0):
-            raise ValueError("rect kind needs power, n0, pulse_width all > 0")
+        if power is None or n0 is None or pulse_width is None:
+            raise ValueError("rect kind needs power, n0 and pulse_width")
+        _require_scale("power", power)
+        _require_scale("n0", n0)
+        _require_scale("pulse_width", pulse_width)
         scale = power / (n0 * pulse_width)
         return _gaussian_limit(
             lambda theta, delta: 2.0 * np.sqrt(scale * delta),
@@ -518,8 +527,7 @@ def fisher_from_log_partition(log_z: Callable[[float], float], theta: float,
     the curvature d^2 log Z / d theta^2, by central second differences at
     steps h and h/2 combined with one Richardson extrapolation
     (4*D(h/2) - D(h))/3, which cancels the leading h^2 error term."""
-    if not h > 0:
-        raise ValueError("h must be positive")
+    _require_scale("h", h)
 
     def second_diff(step: float) -> float:
         return (log_z(theta + step) - 2.0 * log_z(theta) + log_z(theta - step)) / step ** 2
@@ -551,8 +559,7 @@ class PeEstimate:
 
 class GaussianLocationSampler:
     def __init__(self, sigma: float = 1.0):
-        if not sigma > 0:
-            raise ValueError("sigma must be positive")
+        _require_scale("sigma", sigma)
         self.sigma = sigma
 
     def sample(self, rng, theta, n, size):
@@ -780,6 +787,8 @@ def _make_exp_family(fisher: Callable[[float], float] = None,
     # log-normalizer is theta^2 sigma^2 / 2; the Fisher information is then
     # computed numerically rather than assumed.
     if fisher is None:
+        _require_scale("sigma", sigma)
+
         def log_z(theta):
             return 0.5 * theta * theta * sigma * sigma
 
@@ -793,8 +802,7 @@ def _make_exp_family(fisher: Callable[[float], float] = None,
 
 
 def _make_nuisance_rotation(sigma: float = 1.0) -> Model:
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    _require_scale("sigma", sigma)
     desc = ModelDescriptor(
         id="nuisance-rotation", parameter_space=Interval(-1e308, math.inf),
         nuisance="second location coordinate",

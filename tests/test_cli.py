@@ -1,5 +1,8 @@
 """Command-line interface: compute, reproduce, formats, exit codes."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,9 +10,11 @@ import re
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from minimaxlb import catalog, cli, models, verify
@@ -17,7 +22,12 @@ from minimaxlb.loss import LossSpec
 
 
 def run_cli(capsys, *argv):
-    rc = cli.main(list(argv))
+    """Exit code, stdout and stderr of one ``main`` call; a usage error
+    exits through SystemExit."""
+    try:
+        rc = cli.main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
@@ -285,6 +295,134 @@ class TestCompute:
         rc, _, err = run_cli(capsys, "compute", "--model", "gauss-location",
                              "--bound", "local-two-point", "--param", "oops")
         assert rc == 2
+
+    @pytest.mark.parametrize("item,key", [("smx=5", "smx"), ("foo=3", "foo"),
+                                          ("=3", "")])
+    def test_unknown_param_is_refused(self, capsys, item, key):
+        # these used to exit 0 with the default value
+        rc, out, err = run_cli(capsys, "compute", "--model", "gauss-location",
+                               "--bound", "local-two-point", "--param", item)
+        assert rc == 2 and out == ""
+        assert f"unknown parameter: {key!r}" in err
+        assert f"(known: {', '.join(catalog._PARAM_KEYS)})" in err
+
+    @pytest.mark.parametrize("model_id,bound,flag,value", [
+        ("gauss-location", "local-two-point", "sigma", "inf"),
+        ("gauss-location", "two-point", "sigma", "nan"),
+        ("exp-family", "local-two-point", "sigma", "-1"),
+        ("exp-family", "local-two-point", "h", "inf"),
+        ("awgn-smooth", "local-two-point", "pdot", "inf"),
+        ("awgn-smooth", "local-two-point", "n0", "nan"),
+        ("awgn-rect", "local-two-point", "power", "inf"),
+        ("awgn-rect", "local-two-point", "pulse_width", "0"),
+        ("nuisance-rotation", "nuisance-rotation", "sigma", "inf"),
+        ("uniform-scale", "nuisance-rotation", "sigma", "inf")])
+    def test_scale_must_be_finite_and_positive(self, capsys, model_id, bound,
+                                               flag, value):
+        # sigma = inf on gauss-location used to exit 0 with value 400
+        rc, out, err = run_cli(capsys, "compute", "--model", model_id,
+                               "--bound", bound, "--theta0", "0",
+                               "--theta1", "1", "--param", f"{flag}={value}")
+        assert rc == 2 and out == ""
+        assert f"{flag} must be a finite positive number" in err
+
+    @pytest.mark.parametrize("smax", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("bound", ["local-two-point", "moment",
+                                       "nuisance-rotation"])
+    def test_smax_must_be_finite_and_positive(self, capsys, bound, smax):
+        rc, out, err = run_cli(capsys, "compute", "--model", "gauss-location",
+                               "--bound", bound, f"--smax={smax}")
+        assert rc == 2 and out == ""
+        assert "smax must be a finite positive number" in err
+
+
+@pytest.fixture
+def fresh_shared_parser():
+    shared = cli._shared_parser
+    shared.cache_clear()
+    yield
+    shared.cache_clear()
+
+
+class TestParserReuse:
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch,
+                                         fresh_shared_parser):
+        built = []
+
+        def counting_parser(*args, **kwargs):
+            built.append(kwargs.get("prog"))
+            return argparse.ArgumentParser(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "argparse",
+                            types.SimpleNamespace(ArgumentParser=counting_parser))
+        for _ in range(3):
+            rc, _, _ = run_cli(capsys, *COMPUTE_CSV)
+            assert rc == 0
+        assert built == ["minimaxlb"]
+
+    def test_main_carries_no_state_between_calls(self, capsys, monkeypatch,
+                                                 fresh_shared_parser):
+        plain = ["compute", "--model", "uniform-scale", "--bound",
+                 "local-two-point", "--format", "json"]
+        first = plain + ["--param", "smax=3"]
+        sequence = [first, plain, ["compute", "--model", "uniform-scale"],
+                    ["reproduce", "--only", "rotation"], first]
+        shared = [run_cli(capsys, *argv) for argv in sequence]
+        monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+        fresh = [run_cli(capsys, *argv) for argv in sequence]
+        assert [rc for rc, _, _ in shared] == [0, 0, 2, 0, 0]
+        assert shared == fresh
+        assert shared[0] == shared[4] and shared[0] != shared[1]
+
+
+LIMIT_MODELS = tuple(m for m in models.MODEL_IDS
+                     if models.get_model(m).limit is not None)
+ORACLE_MODELS = tuple(m for m in models.MODEL_IDS
+                      if models.get_model(m).oracle is not None)
+_SCALE = st.floats(0.5, 2.0)
+_CONVEX_LOSS = st.sampled_from(["mse", "mae"]) | \
+    st.floats(1.0, 8.0).map(lambda t: f"power:{t!r}")
+
+
+@st.composite
+def local_two_point_inputs(draw):
+    model_id = draw(st.sampled_from(LIMIT_MODELS))
+    params = {k: draw(_SCALE) for k in models.MODEL_PARAMS[model_id]}
+    params["theta"] = draw(_SCALE)
+    if draw(st.booleans()):
+        params["prior"] = "half"
+    return model_id, "local-two-point", draw(_CONVEX_LOSS), params
+
+
+@st.composite
+def two_point_inputs(draw):
+    model_id = draw(st.sampled_from(ORACLE_MODELS))
+    params = {k: draw(_SCALE) for k in models.MODEL_PARAMS[model_id]}
+    theta0 = draw(_SCALE)
+    params.update(theta0=theta0, theta1=theta0 + draw(st.floats(0.01, 2.0)),
+                  n=1 if model_id == "exp-rate" else draw(st.integers(1, 40)))
+    return model_id, "two-point", draw(_CONVEX_LOSS), params
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(local_two_point_inputs(), two_point_inputs()))
+def test_cli_value_is_the_rounded_report_value(inputs):
+    model_id, bound_id, loss, params = inputs
+    argv = ["compute", "--model", model_id, "--bound", bound_id,
+            "--loss", loss, "--format", "json"]
+    for key, value in params.items():
+        argv += ["--param", f"{key}={value!r}" if isinstance(value, float)
+                 else f"{key}={value}"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    report = catalog.compute_bound(model_id, bound_id,
+                                   catalog.parse_loss(loss), params)
+    assert json.loads(out.getvalue())["value"] == float("%.10g" % report.value)
+    assert report.reevaluate() == report.value
 
 
 class TestManifestParsing:
