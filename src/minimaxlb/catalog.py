@@ -29,19 +29,22 @@ __all__ = [
 
 DEFAULT_MC_SEED = 271828
 
-BOUND_IDS = (
-    "two-point",
-    "concave-two-point",
-    "local-two-point",
-    "moment",
-    "three-point",
-    "three-point-exact",
-    "transform",
-    "nuisance-rotation",
-    "ring",
-    "all-pairs",
-    "mc-pe",
-)
+# every bound id, with the parameter keys its branch of compute_bound reads
+# (nuisance-rotation's sigma is its own noise scale, whatever the model)
+_BOUND_PARAMS = {
+    "two-point": ("theta0", "theta1", "n"),
+    "concave-two-point": ("theta0", "theta1", "n"),
+    "local-two-point": ("theta", "smax", "prior"),
+    "moment": ("theta", "smax", "r", "n", "theta0"),
+    "three-point": ("theta", "smax", "inner", "w_zero", "n", "theta0"),
+    "three-point-exact": ("theta", "smax"),
+    "transform": ("theta0", "theta1", "n", "transforms", "k", "q"),
+    "nuisance-rotation": ("sigma", "smax"),
+    "ring": ("thetas", "weights", "n"),
+    "all-pairs": ("thetas", "weights", "n"),
+    "mc-pe": ("theta0", "theta1", "n", "q", "trials"),
+}
+BOUND_IDS = tuple(_BOUND_PARAMS)
 
 
 @dataclass
@@ -169,15 +172,6 @@ def _s_domain(params: dict):
     return Interval(0.0, smax)
 
 
-# every parameter key compute_bound reads (sigma is also the
-# nuisance-rotation bound's noise scale) and every model's; any other key is
-# refused rather than ignored
-_PARAM_KEYS = tuple(sorted(
-    {"theta", "theta0", "theta1", "n", "q", "trials", "smax", "prior", "r",
-     "inner", "w_zero", "transforms", "k", "thetas", "weights", "sigma"}
-    .union(*models.MODEL_PARAMS.values())))
-
-
 def compute_bound(model_id: str, bound_id: str, loss: LossSpec, params: dict,
                   seed: Optional[int] = None) -> bounds.BoundReport:
     """Build the model and evaluate one bound; the single dispatch point
@@ -185,13 +179,15 @@ def compute_bound(model_id: str, bound_id: str, loss: LossSpec, params: dict,
     if bound_id not in BOUND_IDS:
         raise ValueError(f"unknown bound id: {bound_id!r} "
                          f"(known: {', '.join(BOUND_IDS)})")
+    model_keys = models.MODEL_PARAMS.get(model_id, ())
+    model = models.get_model(model_id, **{k: float(params[k])
+                                          for k in model_keys if k in params})
+    # a key this bound and model do not read is refused rather than ignored
+    known = sorted(set(_BOUND_PARAMS[bound_id]).union(model_keys))
     for key in params:
-        if key not in _PARAM_KEYS:
-            raise ValueError(f"unknown parameter: {key!r} "
-                             f"(known: {', '.join(_PARAM_KEYS)})")
-    model_params = {k: float(params[k])
-                    for k in models.MODEL_PARAMS.get(model_id, ()) if k in params}
-    model = models.get_model(model_id, **model_params)
+        if key not in known:
+            raise ValueError(f"unknown parameter: {key!r} for {bound_id} on "
+                             f"{model_id} (known: {', '.join(known)})")
 
     theta = float(params.get("theta", 1.0))
     n = _int_param(params, "n", 1)

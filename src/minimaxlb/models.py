@@ -551,11 +551,12 @@ class PeEstimate:
     seed: int
 
 
-# Each sampler draws rows of n observations and scores them two ways:
-# log_likelihood(x, theta) per row, and a per-row sufficient statistic
-# (statistic(x)) whose stat_log_likelihood(stat, n, theta) equals the
-# log-likelihood up to a term that does not depend on theta, so the MAP test
-# reads each row once.
+# Each sampler draws a row's sufficient statistic straight from its exact law
+# (sample_statistic(rng, theta, n, size)): one or two random values a row
+# whatever n is.  stat_log_likelihood(stat, n, theta) scores it: the row's
+# log-likelihood up to a term that does not depend on theta.  sample,
+# log_likelihood and statistic draw and score the n observations themselves;
+# monte_carlo_pe does not call them, the tests check the laws against them.
 
 class GaussianLocationSampler:
     def __init__(self, sigma: float = 1.0):
@@ -564,6 +565,10 @@ class GaussianLocationSampler:
 
     def sample(self, rng, theta, n, size):
         return rng.normal(theta, self.sigma, size=(size, n))
+
+    def sample_statistic(self, rng, theta, n, size):
+        # the sum of n N(theta, sigma^2) draws is N(n theta, n sigma^2)
+        return rng.normal(n * theta, self.sigma * math.sqrt(n), size)
 
     def log_likelihood(self, x, theta):
         z = (x - theta) / self.sigma
@@ -580,6 +585,10 @@ class GaussianLocationSampler:
 class UniformScaleSampler:
     def sample(self, rng, theta, n, size):
         return rng.uniform(0.0, theta, size=(size, n))
+
+    def sample_statistic(self, rng, theta, n, size):
+        # the largest of n U(0, theta) draws is theta U^(1/n)
+        return theta * rng.random(size) ** (1.0 / n)
 
     def log_likelihood(self, x, theta):
         inside = (x >= 0.0).all(axis=1) & (x <= theta).all(axis=1)
@@ -598,6 +607,15 @@ class UniformLocationSampler:
     def sample(self, rng, theta, n, size):
         return rng.uniform(theta, theta + 1.0, size=(size, n))
 
+    def sample_statistic(self, rng, theta, n, size):
+        # the largest of n U(0, 1) draws is U^(1/n); given it, the other n - 1
+        # are U(0, top), so the smallest is top (1 - V^(1/(n-1))).  U and V
+        # come in pairs, so rows drawn in chunks are the rows drawn at once
+        uv = rng.random((size, 2))
+        top = uv[:, 0] ** (1.0 / n)
+        low = top if n == 1 else top * (1.0 - uv[:, 1] ** (1.0 / (n - 1)))
+        return theta + low, theta + top
+
     def log_likelihood(self, x, theta):
         inside = (x >= theta).all(axis=1) & (x <= theta + 1.0).all(axis=1)
         return np.where(inside, 0.0, -np.inf)
@@ -614,6 +632,10 @@ class ExponentialRateSampler:
     def sample(self, rng, theta, n, size):
         return rng.exponential(1.0 / theta, size=(size, n))
 
+    def sample_statistic(self, rng, theta, n, size):
+        # the sum of n exponentials of rate theta is Gamma(n, scale 1/theta)
+        return rng.gamma(n, 1.0 / theta, size)
+
     def log_likelihood(self, x, theta):
         return x.shape[1] * math.log(theta) - theta * np.sum(x, axis=1)
 
@@ -624,7 +646,7 @@ class ExponentialRateSampler:
         return n * math.log(theta) - theta * total
 
 
-_MC_CHUNK_DRAWS = 2 ** 17
+_MC_CHUNK_ROWS = 2 ** 17
 _MC_Z = 1.96  # two-sided 95% normal quantile
 
 
@@ -632,14 +654,17 @@ def monte_carlo_pe(sampler, q: float, theta0, theta1, n: int, trials: int,
                    seed: int) -> PeEstimate:
     """Estimate pe(q, theta0, theta1, n) by simulating the MAP rule.
 
-    Draws the hypothesis with priors (q, 1-q), samples n observations from the
-    true model, decides by comparing log q + log p(x|theta0) against
-    log(1-q) + log p(x|theta1), both read from the row's sufficient statistic
-    up to a common term (one reduction a row), and reports the empirical
-    error rate with the half-width of its 95% Wilson (1927) score interval:
-    the larger distance from the estimate to the interval's ends, which
-    stays positive at an empirical rate of 0 or 1.  Fully determined by
-    ``seed``.
+    Draws how many of the trials have H1 true (binomial with probability
+    1-q), then draws each trial's sufficient statistic for n observations
+    straight from its exact law under the true model (so the cost is
+    O(trials) whatever n is), decides by comparing log q + log p(x|theta0)
+    against log(1-q) + log p(x|theta1), both read from the statistic up to a
+    common term, and reports the empirical error rate with the half-width of
+    its 95% Wilson (1927) score interval: the larger distance from the
+    estimate to the interval's ends, which stays positive at an empirical
+    rate of 0 or 1.  Fully determined by ``seed``.  Earlier versions drew
+    all n observations of each trial: their decisions had the same law, but
+    their estimates at a given seed differ.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -648,19 +673,18 @@ def monte_carlo_pe(sampler, q: float, theta0, theta1, n: int, trials: int,
     if not 0.0 <= q <= 1.0:
         raise ValueError("prior must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    n_h1 = int(np.count_nonzero(rng.random(trials) >= q))
+    n_h1 = int(rng.binomial(trials, 1.0 - q))
     n_h0 = trials - n_h1
 
     log_q0 = math.log(q) if q > 0 else -math.inf
     log_q1 = math.log(1.0 - q) if q < 1 else -math.inf
-    # all H0 draws, then all H1 draws, as one stream cut into chunks of at
-    # most _MC_CHUNK_DRAWS values: the same draws as one call per hypothesis
-    rows = max(1, _MC_CHUNK_DRAWS // n)
+    # all H0 rows, then all H1 rows, in chunks of at most _MC_CHUNK_ROWS: the
+    # same statistics as one sample_statistic call per hypothesis
     errors = 0
     for theta, count, truth_h1 in ((theta0, n_h0, False), (theta1, n_h1, True)):
-        for start in range(0, count, rows):
-            stat = sampler.statistic(
-                sampler.sample(rng, theta, n, min(rows, count - start)))
+        for start in range(0, count, _MC_CHUNK_ROWS):
+            stat = sampler.sample_statistic(
+                rng, theta, n, min(_MC_CHUNK_ROWS, count - start))
             decide_h0 = (log_q0 + sampler.stat_log_likelihood(stat, n, theta0)
                          >= log_q1 + sampler.stat_log_likelihood(stat, n, theta1))
             errors += int(np.count_nonzero(decide_h0 == truth_h1))

@@ -304,7 +304,35 @@ class TestCompute:
                                "--bound", "local-two-point", "--param", item)
         assert rc == 2 and out == ""
         assert f"unknown parameter: {key!r}" in err
-        assert f"(known: {', '.join(catalog._PARAM_KEYS)})" in err
+        assert "(known: prior, sigma, smax, theta)" in err
+
+    @pytest.mark.parametrize("model_id,bound,args,key,known", [
+        # pdot is awgn-smooth's
+        ("gauss-location", "local-two-point", ("--param", "pdot=5"), "pdot",
+         "prior, sigma, smax, theta"),
+        # two-point reads neither prior nor smax
+        ("exp-rate", "two-point", ("--theta0", "1", "--theta1", "2",
+                                   "--param", "prior=half", "--smax", "3"),
+         "prior", "n, theta0, theta1"),
+        ("uniform-scale", "local-two-point", ("--n", "4"), "n",
+         "prior, smax, theta"),
+        ("gauss-location", "mc-pe", ("--theta0", "0", "--theta1", "1",
+                                     "--n", "4", "--param", "r=0.5"), "r",
+         "n, q, sigma, theta0, theta1, trials")])
+    def test_param_another_bound_or_model_reads_is_refused(
+            self, capsys, model_id, bound, args, key, known):
+        # each used to exit 0: the key was read by some bound or model
+        rc, out, err = run_cli(capsys, "compute", "--model", model_id,
+                               "--bound", bound, *args)
+        assert rc == 2 and out == ""
+        assert (f"unknown parameter: {key!r} for {bound} on {model_id} "
+                f"(known: {known})") in err
+
+    def test_rotation_sigma_is_read_on_any_model(self, capsys):
+        rc, out, _ = run_cli(capsys, "compute", "--model", "uniform-scale",
+                             "--bound", "nuisance-rotation", "--sigma", "2",
+                             "--smax", "3", "--format", "json")
+        assert rc == 0 and json.loads(out)["bound"] == "nuisance-rotation"
 
     @pytest.mark.parametrize("model_id,bound,flag,value", [
         ("gauss-location", "local-two-point", "sigma", "inf"),
@@ -320,9 +348,11 @@ class TestCompute:
     def test_scale_must_be_finite_and_positive(self, capsys, model_id, bound,
                                                flag, value):
         # sigma = inf on gauss-location used to exit 0 with value 400
+        points = ("--theta0", "0", "--theta1", "1") if bound == "two-point" \
+            else ()
         rc, out, err = run_cli(capsys, "compute", "--model", model_id,
-                               "--bound", bound, "--theta0", "0",
-                               "--theta1", "1", "--param", f"{flag}={value}")
+                               "--bound", bound, *points,
+                               "--param", f"{flag}={value}")
         assert rc == 2 and out == ""
         assert f"{flag} must be a finite positive number" in err
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 import oracles
 from minimaxlb import models
@@ -409,20 +410,25 @@ class TestMonteCarlo:
         (models.UniformScaleSampler(), 1.0, 1.05),
         (models.UniformLocationSampler(), 0.0, 0.01),
         (models.ExponentialRateSampler(), 1.0, 2.0)])
-    def test_chunks_match_one_shot_sampling(self, sampler, theta0, theta1):
-        # 30 000 trials x 16 draws spans several chunks of 2^17 draws; the
-        # one-shot reference draws every H0 row, then every H1 row, at once
+    def test_chunks_match_one_shot_sampling(self, sampler, theta0, theta1,
+                                            monkeypatch):
+        # each hypothesis's rows of 30 000 trials span several chunks of
+        # 7 000; the one-shot reference draws the H1 count, then every H0
+        # statistic, then every H1 statistic, at once
         q, n, trials, seed = 0.45, 16, 30_000, 5
+        monkeypatch.setattr(models, "_MC_CHUNK_ROWS", 7_000)
         rng = np.random.default_rng(seed)
-        is_h1 = rng.random(trials) >= q
-        x = np.empty((trials, n))
-        x[~is_h1] = sampler.sample(rng, theta0, n, int((~is_h1).sum()))
-        x[is_h1] = sampler.sample(rng, theta1, n, int(is_h1.sum()))
-        decide_h0 = (math.log(q) + sampler.log_likelihood(x, theta0)
-                     >= math.log(1.0 - q) + sampler.log_likelihood(x, theta1))
-        errors = int(np.count_nonzero(decide_h0 == is_h1))
+        n_h1 = int(rng.binomial(trials, 1.0 - q))
+        errors = 0
+        for theta, count, truth_h1 in ((theta0, trials - n_h1, False),
+                                       (theta1, n_h1, True)):
+            stat = sampler.sample_statistic(rng, theta, n, count)
+            decide_h0 = (math.log(q) + sampler.stat_log_likelihood(stat, n, theta0)
+                         >= math.log(1.0 - q)
+                         + sampler.stat_log_likelihood(stat, n, theta1))
+            errors += int(np.count_nonzero(decide_h0 == truth_h1))
         est = models.monte_carlo_pe(sampler, q, theta0, theta1, n, trials, seed)
-        assert n * trials > 3 * models._MC_CHUNK_DRAWS
+        assert min(n_h1, trials - n_h1) > models._MC_CHUNK_ROWS
         assert est.estimate == errors / trials
 
     @pytest.mark.parametrize("sampler, theta0, theta1", [
@@ -434,21 +440,75 @@ class TestMonteCarlo:
     def test_a_sure_prior_matches_the_full_likelihoods(self, sampler, theta0,
                                                        theta1, q):
         # a log prior of -inf meets a log-likelihood of -inf on rows outside
-        # one support: the decision is -inf >= -inf (or -inf >= finite), the
+        # one support: the decision is -inf >= -inf (or -inf >= finite).  On
+        # rows drawn under both hypotheses, some outside a support, it is the
         # same from the per-row statistic as from the full likelihoods
-        n, trials, seed = 16, 20_000, 5
-        rng = np.random.default_rng(seed)
-        is_h1 = rng.random(trials) >= q
-        x = np.empty((trials, n))
-        x[~is_h1] = sampler.sample(rng, theta0, n, int((~is_h1).sum()))
-        x[is_h1] = sampler.sample(rng, theta1, n, int(is_h1.sum()))
+        n, rows = 16, 10_000
+        rng = np.random.default_rng(5)
+        x = np.concatenate([sampler.sample(rng, theta0, n, rows),
+                            sampler.sample(rng, theta1, n, rows)])
+        stat = sampler.statistic(x)
         log_q0 = math.log(q) if q > 0 else -math.inf
         log_q1 = math.log(1.0 - q) if q < 1 else -math.inf
-        decide_h0 = (log_q0 + sampler.log_likelihood(x, theta0)
-                     >= log_q1 + sampler.log_likelihood(x, theta1))
-        errors = int(np.count_nonzero(decide_h0 == is_h1))
-        est = models.monte_carlo_pe(sampler, q, theta0, theta1, n, trials, seed)
-        assert est.estimate == errors / trials
+        full = (log_q0 + sampler.log_likelihood(x, theta0)
+                >= log_q1 + sampler.log_likelihood(x, theta1))
+        reduced = (log_q0 + sampler.stat_log_likelihood(stat, n, theta0)
+                   >= log_q1 + sampler.stat_log_likelihood(stat, n, theta1))
+        assert any(np.isneginf(sampler.log_likelihood(x, t)).any()
+                   for t in (theta0, theta1))
+        assert np.array_equal(full, reduced)
+        # the sure hypothesis is always decided, so the MAP rule never errs
+        est = models.monte_carlo_pe(sampler, q, theta0, theta1, n, 20_000, 5)
+        assert est.estimate == 0.0
+
+    @pytest.mark.parametrize("sampler, theta", [
+        (models.GaussianLocationSampler(1.3), 0.4),
+        (models.UniformScaleSampler(), 1.7),
+        (models.UniformLocationSampler(), -0.3),
+        (models.ExponentialRateSampler(), 2.5)])
+    @pytest.mark.parametrize("n", [1, 2, 5, 20])
+    def test_statistic_is_drawn_from_its_exact_law(self, sampler, theta, n):
+        # two-sample Kolmogorov-Smirnov test of the directly drawn statistic
+        # against the statistic of n drawn observations
+        size = 4_000
+        direct = sampler.sample_statistic(np.random.default_rng(11), theta,
+                                          n, size)
+        reference = sampler.statistic(
+            sampler.sample(np.random.default_rng(12), theta, n, size))
+        if isinstance(direct, tuple):
+            # uniform-location: the smallest, the largest and their spread
+            direct = (*direct, direct[1] - direct[0])
+            reference = (*reference, reference[1] - reference[0])
+        else:
+            direct, reference = (direct,), (reference,)
+        for got, want in zip(direct, reference):
+            assert got.shape == (size,)
+            assert stats.ks_2samp(got, want).pvalue >= 1e-3
+
+    def test_never_draws_the_observations(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("monte_carlo_pe drew every observation")
+
+        for sampler, theta0, theta1, n in (
+                (models.GaussianLocationSampler(1.0), 0.0, 1.0, 16),
+                (models.UniformScaleSampler(), 1.0, 1.1, 20),
+                (models.UniformLocationSampler(), 0.0, 0.25, 2),
+                (models.ExponentialRateSampler(), 1.0, 2.0, 3)):
+            monkeypatch.setattr(sampler, "sample", refuse)
+            monkeypatch.setattr(sampler, "log_likelihood", refuse)
+            monkeypatch.setattr(sampler, "statistic", refuse)
+            est = models.monte_carlo_pe(sampler, 0.5, theta0, theta1, n,
+                                        10_000, 3)
+            assert 0.0 < est.estimate < 1.0
+
+    def test_cost_does_not_grow_with_n(self):
+        # 10^4 trials of 10^6 observations each: drawing every observation
+        # would take 10^10 values
+        n, trials, sigma, d = 10 ** 6, 10_000, 1.3, 2.0
+        est = models.monte_carlo_pe(models.GaussianLocationSampler(sigma),
+                                    0.5, 0.0, d * sigma / math.sqrt(n), n,
+                                    trials, 271828)
+        assert abs(est.estimate - oracles.gauss_pe(0.5, d)) <= est.half_width
 
     @pytest.mark.parametrize("sampler", [
         models.GaussianLocationSampler(0.7), models.UniformScaleSampler(),
