@@ -304,7 +304,7 @@ def _pair_source(model: Model, theta: float, n: Optional[int],
     offsets may be arrays, broadcast against c (or a and b).  Without ``n``
     the source is the model's local limit at theta, with offsets in
     contraction units; with ``n`` it is the exact oracle for the test points
-    theta0 + lo and theta0 + hi, called once per distinct pair of offsets.
+    theta0 + lo and theta0 + hi, one call for all the offsets.
     """
     if n is None:
         pe_pair = _require_pe_pair(model)
@@ -320,28 +320,17 @@ def _pair_source(model: Model, theta: float, n: Optional[int],
     oracle = _require_oracle(model)
     _require_inside(model, bound, theta0=theta0)
 
-    def per_spacing(fn):
-        # the oracle takes scalar test points: call fn(theta_lo, theta_hi,
-        # *args) -> (at most two arrays) once per distinct (lo, hi)
-        def call(lo, hi, *args):
-            lo, hi = np.broadcast_arrays(lo, hi)
-            keys, which = np.unique(np.stack([lo.ravel(), hi.ravel()], -1),
-                                    axis=0, return_inverse=True)
-            which, *args = np.broadcast_arrays(which.reshape(lo.shape), *args)
-            outs = [np.empty(which.shape), np.empty(which.shape)]
-            for i, (l, h) in enumerate(keys):
-                sel = which == i
-                for out, part in zip(outs, fn(theta0 + l, theta0 + h,
-                                              *(x[sel] for x in args))):
-                    out[sel] = part
-            return outs
-        return call
+    # the offsets are broadcast against c (or a and b) first, so the test
+    # points never carry a coordinate axis of their own
+    def pe(lo, hi, c):
+        lo, hi, c = np.broadcast_arrays(lo, hi, c)
+        return oracle.pe(c, theta0 + lo, theta0 + hi, n)
 
-    pe = per_spacing(lambda t0, t1, c: (oracle.pe(c, t0, t1, n),))
-    split = per_spacing(
-        lambda t0, t1, a, b: oracle.pair_split(a, b, t0, t1, n))
-    return ((lambda lo, hi, c: pe(lo, hi, c)[0]),
-            None if oracle.pair_split is None else split)
+    def split(lo, hi, a, b):
+        lo, hi, a, b = np.broadcast_arrays(lo, hi, a, b)
+        return oracle.pair_split(a, b, theta0 + lo, theta0 + hi, n)
+
+    return pe, None if oracle.pair_split is None else split
 
 
 def _edge_notes(x: float, domain: Interval) -> tuple:
@@ -403,8 +392,9 @@ def _best_prior(oracle, theta0, theta1, n: int, alpha: float,
     split, so the best prior of u and u -+ 2^-51 is kept."""
     a, b = 1.0 - alpha, alpha
     if oracle.pair_split is None:
-        u = _searched_split(lambda lo, hi, c: oracle.pe(c, lo, hi, n))(
-            theta0, theta1, a, b)[0]
+        # searched over the masses' axes: the test points may be vectors
+        u = _searched_split(lambda lo, hi, c: oracle.pe(c, theta0, theta1, n))(
+            0.0, 0.0, a, b)[0]
     else:
         u = oracle.pair_split(a, b, theta0, theta1, n)[0]
     u, step = float(u), 2.0 ** -51
@@ -856,15 +846,26 @@ def _validate_points_weights(thetas, weights):
     return w
 
 
-def _pair_term(oracle, loss: LossSpec, thetas, w, i: int, j: int,
-               n: int) -> float:
-    """rho(|theta_j - theta_i|/2) * G(w_i, w_j) for one pair of test points;
-    a pair without prior mass contributes 0 and is not evaluated."""
-    if w[i] + w[j] <= 0.0:
-        return 0.0
-    rho = eval_rho(loss, _separation(thetas[i], thetas[j]) / 2.0)
-    return rho * float(_pair_risk(
-        lambda c: oracle.pe(c, thetas[i], thetas[j], n), w[i], w[j]))
+def _pairwise_sum(model: Model, loss: LossSpec, thetas, weights, n: int,
+                  pairs) -> Callable:
+    """A closure returning the sum over the index pairs (i, j) of
+    rho(|theta_j - theta_i|/2) * G(w_i, w_j), every pair error from one
+    oracle call; a pair without prior mass contributes 0 and is not
+    evaluated."""
+    oracle = _require_oracle(model)
+    w = _validate_points_weights(thetas, weights)
+    pairs = [(i, j) for i, j in pairs if w[i] + w[j] > 0.0]
+    rhos = [eval_rho(loss, _separation(thetas[i], thetas[j]) / 2.0)
+            for i, j in pairs]
+    i, j = np.array(pairs).T
+    points = np.asarray(thetas, dtype=float)
+
+    def total() -> float:
+        risks = _pair_risk(lambda c: oracle.pe(c, points[i], points[j], n),
+                           w[i], w[j])
+        return sum(rho * float(risk) for rho, risk in zip(rhos, risks))
+
+    return total
 
 
 def pairwise_ring_bound(model: Model, loss: LossSpec, thetas: Sequence,
@@ -878,14 +879,9 @@ def pairwise_ring_bound(model: Model, loss: LossSpec, thetas: Sequence,
     With m = 2 the ring traverses the single pair twice, which is exactly the
     factor 2 of the plain two-point bound at a fixed prior.
     """
-    oracle = _require_oracle(model)
-    w = _validate_points_weights(thetas, weights)
     m = len(thetas)
-
-    def objective() -> float:
-        return sum(_pair_term(oracle, loss, thetas, w, i, (i + 1) % m, n)
-                   for i in range(m))
-
+    objective = _pairwise_sum(model, loss, thetas, weights, n,
+                              [(i, (i + 1) % m) for i in range(m)])
     return BoundReport(bound_id="ring", model_id=model.id, value=objective(),
                        loss=loss, argmax={}, objective=objective)
 
@@ -900,13 +896,12 @@ def pairwise_allpairs_bound(model: Model, loss: LossSpec, thetas: Sequence,
     Each unordered pair appears twice in the ordered sum with equal terms;
     dividing by m-1 keeps the total prior mass accounting consistent.
     """
-    oracle = _require_oracle(model)
-    w = _validate_points_weights(thetas, weights)
     m = len(thetas)
+    total = _pairwise_sum(model, loss, thetas, weights, n,
+                          [(i, j) for i in range(m) for j in range(m) if i != j])
 
     def objective() -> float:
-        return sum(_pair_term(oracle, loss, thetas, w, i, j, n)
-                   for i in range(m) for j in range(m) if i != j) / (m - 1)
+        return total() / (m - 1)
 
     return BoundReport(bound_id="all-pairs", model_id=model.id,
                        value=objective(), loss=loss, argmax={},

@@ -81,6 +81,14 @@ class BinaryErrorOracle:
     n), and the u that attains it; value is 0 where a or b is 0.  All
     registry oracles define it, for the same orderings as pe; an oracle
     without one (None) has its splits searched.
+
+    Registry oracles take arrays of test points too, broadcast against q
+    (or a and b), each element equal to its own scalar call; one element out
+    of the space raises the scalar call's ValueError.  On gauss-location a
+    trailing axis of theta0 and theta1 beyond q's (or a's and b's) holds
+    vector coordinates, and the distance is the Euclidean norm over it.  The
+    finite-sample nested bounds and the pairwise combiners pass arrays of
+    test points, so a custom oracle must accept them.
     """
 
     pe: Callable
@@ -252,26 +260,32 @@ def binary_gaussian_split(a, b, d):
     return u, value
 
 
-def exponential_rate_pe(q, theta0: float, theta1: float):
+def _rates(theta0, theta1):
+    theta0, theta1 = np.asarray(theta0, dtype=float), np.asarray(theta1, dtype=float)
+    if not ((0.0 < theta0) & (theta0 < theta1) & (theta1 < math.inf)).all():
+        raise ValueError("need 0 < theta0 < theta1 < inf")
+    return theta0, theta1
+
+
+def exponential_rate_pe(q, theta0, theta1):
     """MAP error for a single observation of an exponential density with rate
-    theta0 versus theta1, 0 < theta0 < theta1.
+    theta0 versus theta1, 0 < theta0 < theta1 < inf.
 
     The likelihood ratio is monotone, so the rule is a single threshold
     x0 = ln((1-q)theta1 / (q theta0)) / (theta1 - theta0); when the threshold
     is negative the rule always picks the first hypothesis and the error is
-    1 - q.
+    1 - q.  Elementwise over arrays of q, theta0 and theta1.
     """
-    if not (0.0 < theta0 < theta1):
-        raise ValueError("need 0 < theta0 < theta1")
+    theta0, theta1 = _rates(theta0, theta1)
     q = np.asarray(q, dtype=float)
-    if np.any((q < 0) | (q > 1)):
+    if ((q < 0) | (q > 1)).any():
         raise ValueError("prior must lie in [0, 1]")
     interior = (q > 0.0) & (q < 1.0)
     qs = np.where(interior, q, 0.5)
     # the threshold is formed from logs, so a prior near 0 cannot overflow
     # the ratio, and the threshold branch is evaluated at x0 >= 0 only (where
     # it is used), so a prior near 1 cannot overflow the exponentials
-    x0 = (np.log1p(-qs) - np.log(qs) + math.log(theta1 / theta0)) / (theta1 - theta0)
+    x0 = (np.log1p(-qs) - np.log(qs) + np.log(theta1 / theta0)) / (theta1 - theta0)
     xt = np.maximum(x0, 0.0)
     pe_thresh = qs * (1.0 - np.exp(-theta0 * xt)) + (1.0 - qs) * np.exp(-theta1 * xt)
     pe = np.where(x0 > 0.0, pe_thresh, 1.0 - qs)
@@ -279,9 +293,9 @@ def exponential_rate_pe(q, theta0: float, theta1: float):
     return float(out) if out.ndim == 0 else out
 
 
-def exponential_rate_split(a, b, theta0: float, theta1: float):
+def exponential_rate_split(a, b, theta0, theta1):
     """Exact pair split for a single exponential observation, rate theta0
-    (mass a) versus theta1 (mass b), 0 < theta0 < theta1.
+    (mass a) versus theta1 (mass b), 0 < theta0 < theta1 < inf.
 
     The MAP rule picks theta1 below a threshold t, erring with probability
     1 - e^(-theta0 t) under theta0 and e^(-theta1 t) under theta1.  The best
@@ -290,10 +304,11 @@ def exponential_rate_split(a, b, theta0: float, theta1: float):
     ln(a/b) + ln(1 - e^(-theta0 t)) + theta1*t, which is increasing and
     concave, so Newton steps from a point where f <= 0 rise monotonically to
     it.  Then u = expit(ln(a*theta0 / (b*theta1)) + (theta1 - theta0)*t*).
-    Value 0 (and u = 1/2) where a or b is 0.
+    Value 0 (and u = 1/2) where a or b is 0.  Elementwise over arrays of the
+    masses and rates; each element stops its Newton steps when it converges,
+    so an element equals its own scalar call.
     """
-    if not (0.0 < theta0 < theta1):
-        raise ValueError("need 0 < theta0 < theta1")
+    theta0, theta1 = _rates(theta0, theta1)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     pos = (a > 0.0) & (b > 0.0)
@@ -301,9 +316,10 @@ def exponential_rate_split(a, b, theta0: float, theta1: float):
     # 1 - e^(-x) <= x gives f(t) <= ln(a/b) + ln(theta0 t) + theta1 t, which
     # is <= 0 at t = min(1/theta1, b/(e a theta0)); the floor keeps t normal,
     # and a start past the root then halves back towards it
-    t = np.exp(np.maximum(np.minimum(-math.log(theta1),
-                                     -log_ratio - 1.0 - math.log(theta0)),
+    t = np.exp(np.maximum(np.minimum(-np.log(theta1),
+                                     -log_ratio - 1.0 - np.log(theta0)),
                           -700.0))
+    active = np.ones(t.shape, dtype=bool)
     for _ in range(_SPLIT_MAX_ITERS):
         em1 = -np.expm1(-theta0 * t)
         f = log_ratio + np.log(em1) + theta1 * t
@@ -311,45 +327,62 @@ def exponential_rate_split(a, b, theta0: float, theta1: float):
         step = t - f / (theta0 * (1.0 - em1) / em1 + theta1)
         t_new = np.maximum(step, 0.5 * t)
         done = np.abs(t_new - t) <= _SPLIT_XTOL * t
-        t = t_new
-        if done.all():
+        t = np.where(active, t_new, t)
+        active &= ~done
+        if not active.any():
             break
-    u = np.where(pos, expit(log_ratio + math.log(theta0 / theta1)
+    u = np.where(pos, expit(log_ratio + np.log(theta0 / theta1)
                             + (theta1 - theta0) * t), 0.5)
     value = np.where(pos, b * np.exp(-theta1 * t), 0.0)
     return u, value
 
 
-def _scale_arms(theta0: float, theta1: float, n: int):
-    if not 0.0 < theta0 <= theta1:
-        raise ValueError("need 0 < theta0 <= theta1")
+def _scale_arms(theta0, theta1, n: int):
+    """Arms (min{1, (theta1/theta0)^n}, min{1, (theta0/theta1)^n}) of the
+    uniform-scale pair error, in either order; each ratio is capped at 1
+    before the power, so it cannot overflow.  float_power is the C library's
+    pow, as Python's float power (power may use a SIMD pow, off by an ulp)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return 1.0, (theta0 / theta1) ** n
+    if not ((np.minimum(theta0, theta1) > 0.0)
+            & (np.maximum(theta0, theta1) < math.inf)).all():
+        raise ValueError("need test points in (0, inf)")
+    return (np.float_power(np.minimum(1.0, theta1 / theta0), n),
+            np.float_power(np.minimum(1.0, theta0 / theta1), n))
 
 
-def uniform_scale_pe(q, theta0: float, theta1: float, n: int):
-    """MAP error for n iid draws from Uniform[0, theta], theta0 vs theta1.
+def uniform_scale_pe(q, theta0, theta1, n: int):
+    """MAP error for n iid draws from Uniform[0, theta], 0 < theta0 <= theta1.
 
     Any draw above theta0 settles the matter, so the error mass lives on
     [0, theta0]^n: pe = min{q, (1-q) * alpha_ratio} with the likelihood-ratio
     power alpha_ratio = (theta0/theta1)^n.  Coincident scales degenerate to
     min{q, 1-q}.
     """
+    if not np.all(np.less_equal(theta0, theta1)):
+        raise ValueError("need theta0 <= theta1")
     return _min_form_pe(*_scale_arms(theta0, theta1, n), q)
 
 
-def _location_arms(theta0: float, theta1: float, n: int):
-    spacing = theta1 - theta0
-    if not spacing >= 0.0:
-        raise ValueError("need theta0 <= theta1")
+def _difference(theta0, theta1):
+    """theta1 - theta0, elementwise; ValueError unless both are finite."""
+    if not (np.isfinite(theta0) & np.isfinite(theta1)).all():
+        raise ValueError("need finite test points")
+    return np.subtract(theta1, theta0, dtype=float)
+
+
+def _location_arms(theta0, theta1, n: int):
+    """Arms (A, A), A = max(0, 1 - |theta1 - theta0|)^n, of the
+    uniform-location pair error, in either order (float_power as in
+    _scale_arms)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    overlap = max(0.0, 1.0 - spacing) ** n
+    spacing = np.abs(_difference(theta0, theta1))
+    overlap = np.float_power(np.maximum(0.0, 1.0 - spacing), n)
     return overlap, overlap
 
 
-def uniform_location_pe(q, theta0: float, theta1: float, n: int):
+def uniform_location_pe(q, theta0, theta1, n: int):
     """MAP error for n iid draws from Uniform[theta, theta+1].
 
     With spacing delta = theta1 - theta0 >= 0, the hypotheses are confusable
@@ -357,6 +390,8 @@ def uniform_location_pe(q, theta0: float, theta1: float, n: int):
     max(0, 1 - delta)^n, and there the posteriors are flat:
     pe = max(0, 1 - delta)^n * min{q, 1-q}, 0 once the supports are disjoint.
     """
+    if not np.all(np.less_equal(theta0, theta1)):
+        raise ValueError("need theta0 <= theta1")
     return _min_form_pe(*_location_arms(theta0, theta1, n), q)
 
 
@@ -368,8 +403,10 @@ def _separation(theta0, theta1) -> float:
 
 def gaussian_location_pe(q, theta0, theta1, n: int, sigma: float):
     """MAP error for n iid Gaussian draws with known scale sigma and mean
-    theta0 vs theta1 (scalars or same-length vectors)."""
-    return binary_gaussian_error(q, _gaussian_distance(theta0, theta1, n, sigma))
+    theta0 vs theta1: scalars, or arrays as the BinaryErrorOracle contract
+    describes (a trailing axis beyond q's holds vector coordinates)."""
+    return binary_gaussian_error(
+        q, _gaussian_distance(theta0, theta1, n, sigma, np.ndim(q)))
 
 
 def _require_scale(name: str, value: float) -> None:
@@ -379,12 +416,17 @@ def _require_scale(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a finite positive number")
 
 
-def _gaussian_distance(theta0, theta1, n: int, sigma: float) -> float:
-    """Distance of the two sample means in units of their standard error."""
+def _gaussian_distance(theta0, theta1, n: int, sigma: float, axes: int):
+    """Distance of the two sample means in units of their standard error,
+    elementwise.  Where theta0 and theta1 have more than ``axes`` axes (those
+    of the prior or the masses), the last one holds vector coordinates and
+    the separation is the Euclidean norm over it."""
     _require_scale("sigma", sigma)
     if n < 1:
         raise ValueError("need n >= 1")
-    return math.sqrt(n) * _separation(theta0, theta1) / sigma
+    diff = _difference(theta0, theta1)
+    sep = np.linalg.norm(diff, axis=-1) if diff.ndim > axes else np.abs(diff)
+    return math.sqrt(n) * sep / sigma
 
 
 # ---------------------------------------------------------------------------
@@ -702,68 +744,60 @@ def monte_carlo_pe(sampler, q: float, theta0, theta1, n: int, trials: int,
 # ---------------------------------------------------------------------------
 # registry
 
-def _symmetric_oracle(ordered_pe, ordered_split) -> BinaryErrorOracle:
-    """The registry oracle of an orientation-specific pair error
-    ordered_pe(q, lo, hi, n) and its split ordered_split(a, b, lo, hi, n),
-    lo < hi: it accepts both orderings and coincident points."""
+def _make_exp_rate() -> Model:
+    def oriented(theta0, theta1, n):
+        # (swap, same, lo, hi): the pair error is written for lo < hi, so
+        # theta0 > theta1 swaps the points' roles; coincident points are
+        # scored at (lo/2, lo), where an out-of-space rate still raises, then
+        # get the min form
+        if n != 1:
+            raise ValueError(
+                "the exponential rate oracle is single-observation (n = 1)")
+        same, lo = theta0 == theta1, np.minimum(theta0, theta1)
+        return (theta0 > theta1, same, np.where(same, 0.5 * lo, lo),
+                np.maximum(theta0, theta1))
 
     def pe(q, theta0, theta1, n):
-        if theta0 == theta1:
-            return _min_form_pe(1.0, 1.0, q)
-        if theta0 < theta1:
-            return ordered_pe(q, theta0, theta1, n)
-        return ordered_pe(1.0 - np.asarray(q, dtype=float), theta1, theta0, n)
+        swap, same, lo, hi = oriented(theta0, theta1, n)
+        out = np.where(same, _min_form_pe(1.0, 1.0, q),
+                       exponential_rate_pe(np.where(swap, 1.0 - q, q), lo, hi))
+        return float(out) if out.ndim == 0 else out
 
     def pair_split(a, b, theta0, theta1, n):
-        # coincident points err with min{q, 1-q}, so G(x, y) = min{x, y}
-        if theta0 == theta1:
-            return _min_form_split(1.0, 1.0, a, b)
-        if theta0 < theta1:
-            return ordered_split(a, b, theta0, theta1, n)
+        swap, same, lo, hi = oriented(theta0, theta1, n)
         # G(x, y) at (theta0, theta1) is G(y, x) at (theta1, theta0)
-        u, value = ordered_split(b, a, theta1, theta0, n)
-        return 1.0 - u, value
-
-    return BinaryErrorOracle(pe, pair_split)
-
-
-def _single_observation(n):
-    if n != 1:
-        raise ValueError("the exponential rate oracle is single-observation (n = 1)")
-
-
-def _make_exp_rate() -> Model:
-    def ordered(q, t0, t1, n):
-        _single_observation(n)
-        return exponential_rate_pe(q, t0, t1)
-
-    def ordered_split(a, b, t0, t1, n):
-        _single_observation(n)
-        return exponential_rate_split(a, b, t0, t1)
+        u, value = exponential_rate_split(np.where(swap, b, a),
+                                          np.where(swap, a, b), lo, hi)
+        same_u, same_value = _min_form_split(1.0, 1.0, a, b)
+        return (np.where(same, same_u, np.where(swap, 1.0 - u, u)),
+                np.where(same, same_value, value))
 
     desc = ModelDescriptor(
         id="exp-rate", parameter_space=Interval(0.0, math.inf),
         notes="exponential density with rate theta, single observation")
-    return Model(descriptor=desc, oracle=_symmetric_oracle(ordered, ordered_split),
+    return Model(descriptor=desc, oracle=BinaryErrorOracle(pe, pair_split),
                  sampler=ExponentialRateSampler())
 
 
 def _make_uniform_scale() -> Model:
-    oracle = _symmetric_oracle(uniform_scale_pe, lambda a, b, t0, t1, n:
-                               _min_form_split(*_scale_arms(t0, t1, n), a, b))
     desc = ModelDescriptor(
         id="uniform-scale", parameter_space=Interval(0.0, math.inf),
         notes="Uniform[0, theta]; contraction xi = 1/n")
+    oracle = BinaryErrorOracle(
+        lambda q, t0, t1, n: _min_form_pe(*_scale_arms(t0, t1, n), q),
+        lambda a, b, t0, t1, n: _min_form_split(*_scale_arms(t0, t1, n), a, b))
     return Model(descriptor=desc, oracle=oracle,
                  limit=uniform_scale_limit(), sampler=UniformScaleSampler())
 
 
 def _make_uniform_location() -> Model:
-    oracle = _symmetric_oracle(uniform_location_pe, lambda a, b, t0, t1, n:
-                               _min_form_split(*_location_arms(t0, t1, n), a, b))
     desc = ModelDescriptor(id="uniform-location",
                            parameter_space=Interval(-1e308, math.inf),
                            notes="Uniform[theta, theta+1]; contraction xi = 1/n")
+    oracle = BinaryErrorOracle(
+        lambda q, t0, t1, n: _min_form_pe(*_location_arms(t0, t1, n), q),
+        lambda a, b, t0, t1, n: _min_form_split(*_location_arms(t0, t1, n),
+                                                a, b))
     return Model(descriptor=desc, oracle=oracle,
                  limit=uniform_location_limit(), sampler=UniformLocationSampler())
 
@@ -775,8 +809,8 @@ def _make_gauss_location(sigma: float = 1.0) -> Model:
         return gaussian_location_pe(q, theta0, theta1, n, sigma)
 
     def pair_split(a, b, theta0, theta1, n):
-        return binary_gaussian_split(
-            a, b, _gaussian_distance(theta0, theta1, n, sigma))
+        return binary_gaussian_split(a, b, _gaussian_distance(
+            theta0, theta1, n, sigma, max(np.ndim(a), np.ndim(b))))
 
     desc = ModelDescriptor(
         id="gauss-location", parameter_space=Interval(-1e308, math.inf),

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 import minimaxlb as mx
@@ -311,6 +312,17 @@ class TestTransformTwoPoint:
         assert abs(rep.argmax["q"]
                    - oracles.FROZEN["transform_m3_gauss_d01_arg_q"]) < 1e-4
         assert any("alpha" in note for note in rep.notes)
+
+    def test_three_rotations_without_a_split(self, gauss):
+        # the searched prior runs over the masses, not over the coordinates
+        # of the vector test points
+        bare = dataclasses.replace(
+            gauss, oracle=models.BinaryErrorOracle(gauss.oracle.pe))
+        args = (LossSpec.mse(), mx.TransformSet.rotations(3),
+                np.array([0.0, 0.0]), np.array([0.1, 0.0]), 1)
+        assert mx.transform_two_point_bound(bare, *args).value == \
+            pytest.approx(mx.transform_two_point_bound(gauss, *args).value,
+                          rel=1e-12)
 
     def test_three_rotations_matches_prior_scan(self, gauss):
         # independent recomputation of the same objective over the prior
@@ -1109,6 +1121,39 @@ class TestNestedAgainstReference:
         _assert_not_below(rep.value, _reference_nested(
             inner, s_domain or (0.0, 20.0)))
         assert rep.reevaluate() == rep.value
+
+
+_FINITE_SAMPLE_BOUNDS = {
+    "moment": lambda m, r, **kw: mx.moment_two_point_bound(m, 2.0, **kw),
+    "moment-r-fixed": lambda m, r, **kw: mx.moment_two_point_bound(
+        m, 2.0, r_fixed=r, **kw),
+    "three-point-free": lambda m, r, **kw: mx.three_point_bound(m, **kw),
+    "three-point-half": lambda m, r, **kw: mx.three_point_bound(
+        m, inner_prior="half", **kw),
+    "three-point-w-zero": lambda m, r, **kw: mx.three_point_bound(
+        m, w_zero=True, **kw),
+}
+
+
+@st.composite
+def finite_sample_inputs(draw):
+    """A model with an exact oracle, its sample size n, a test point theta0
+    and a loss split r."""
+    model_id = draw(st.sampled_from(["uniform-scale", "uniform-location",
+                                     "exp-rate"]))
+    n = 1 if model_id == "exp-rate" else draw(st.integers(1, 20))
+    lo = -3.0 if model_id == "uniform-location" else 0.3
+    return model_id, n, draw(st.floats(lo, 8.0)), draw(st.floats(0.05, 0.95))
+
+
+@pytest.mark.parametrize("bound", list(_FINITE_SAMPLE_BOUNDS))
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(inputs=finite_sample_inputs())
+def test_finite_sample_reevaluate_reproduces_the_value(bound, inputs):
+    model_id, n, theta0, r = inputs
+    rep = _FINITE_SAMPLE_BOUNDS[bound](models.get_model(model_id), r, n=n,
+                                       theta0=theta0)
+    assert rep.reevaluate() == rep.value
 
 
 class TestBoundReport:

@@ -365,6 +365,38 @@ class TestCompute:
         assert rc == 2 and out == ""
         assert "smax must be a finite positive number" in err
 
+    @pytest.mark.parametrize("model_id,theta,n,message", [
+        ("exp-rate", "1", "2", "single-observation (n = 1)"),
+        ("uniform-scale", "-1", "1", "need test points in (0, inf)"),
+        ("uniform-scale", "1", "0", "need n >= 1")])
+    def test_coincident_points_are_checked_like_any_other(
+            self, capsys, model_id, theta, n, message):
+        # coincident test points used to get min{q, 1-q} before the oracle
+        # checked n or the parameter space, and these exited 0 with value 0
+        rc, out, err = run_cli(capsys, "compute", "--model", model_id,
+                               "--bound", "two-point", f"--theta0={theta}",
+                               f"--theta1={theta}", "--n", n)
+        assert rc == 2 and out == ""
+        assert message in err
+
+
+def readme_compute_commands():
+    """The ``minimaxlb compute`` lines of README's "Command line" block,
+    continuations joined and comments dropped, as argument lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    lines = (line.split(" #", 1)[0].split() for line in block.splitlines())
+    return [words[1:] for words in lines if words[:2] == ["minimaxlb", "compute"]]
+
+
+@pytest.mark.parametrize("argv", readme_compute_commands(),
+                         ids=lambda argv: " ".join(argv[1:5]))
+def test_readme_compute_commands_run(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0, err
+    assert out
+
 
 @pytest.fixture
 def fresh_shared_parser():
