@@ -196,7 +196,7 @@ def _require_pe_pair(model: Model):
 def _require_inside(model: Model, bound: str, **thetas) -> None:
     """Refuse a finite-sample test point that is missing or outside the
     model's (open) parameter space."""
-    space = model.descriptor.parameter_space
+    space = model.parameter_space
     for key, theta in thetas.items():
         if theta is None or not space.lo < theta < space.hi:
             raise ValueError(f"finite-sample {bound} bound needs {key} inside "
@@ -381,15 +381,15 @@ def _nested_max(joint, domain: Interval, solve=None, simplex=None):
 # ---------------------------------------------------------------------------
 # two-point bounds at finite sample size
 
-def _best_prior(oracle, theta0, theta1, n: int, alpha: float,
-                objective) -> float:
-    """The prior q that maximizes objective(q), pe(q, theta0, theta1, n) /
-    (alpha*q + (1-alpha)*(1-q)) up to a factor, 0 < alpha <= 1.  With masses
-    a = 1 - alpha, b = alpha and q = (1-u)a / ((1-u)a + u*b) it is
-    G((1-u)a, u*b) / (alpha*(1-alpha)), so the pair split of (a, b) solves
-    it, searched where the oracle has none.  u is exact to rounding only,
-    and a min-form pair error falls steeply on one side of its kink at the
-    split, so the best prior of u and u -+ 2^-51 is kept."""
+def _best_prior(oracle, theta0, theta1, n: int, alpha: float, objective):
+    """(q, objective(q)) for the prior q that maximizes objective(q),
+    pe(q, theta0, theta1, n) / (alpha*q + (1-alpha)*(1-q)) up to a factor,
+    0 < alpha <= 1.  With masses a = 1 - alpha, b = alpha and
+    q = (1-u)a / ((1-u)a + u*b) it is G((1-u)a, u*b) / (alpha*(1-alpha)), so
+    the pair split of (a, b) solves it, searched where the oracle has none.
+    u is exact to rounding only, and a min-form pair error falls steeply on
+    one side of its kink at the split, so the first best prior of u and
+    u -+ 2^-51 is kept."""
     a, b = 1.0 - alpha, alpha
     if oracle.pair_split is None:
         # searched over the masses' axes: the test points may be vectors
@@ -398,9 +398,9 @@ def _best_prior(oracle, theta0, theta1, n: int, alpha: float,
     else:
         u = oracle.pair_split(a, b, theta0, theta1, n)[0]
     u, step = float(u), 2.0 ** -51
-    return max(((1.0 - v) * a / ((1.0 - v) * a + v * b)
-                for v in (u, max(u - step, 0.0), min(u + step, 1.0))),
-               key=objective)
+    priors = [(1.0 - v) * a / ((1.0 - v) * a + v * b)
+              for v in (u, max(u - step, 0.0), min(u + step, 1.0))]
+    return max(((q, objective(q)) for q in priors), key=lambda qv: qv[1])
 
 
 def _two_point(model: Model, loss: LossSpec, theta0, theta1, n: int,
@@ -411,9 +411,9 @@ def _two_point(model: Model, loss: LossSpec, theta0, theta1, n: int,
     def objective(q: float) -> float:
         return rho * float(oracle.pe(q, theta0, theta1, n))
 
-    q_star = _best_prior(oracle, theta0, theta1, n, 0.5, objective)
+    q_star, value = _best_prior(oracle, theta0, theta1, n, 0.5, objective)
     return BoundReport(bound_id=bound_id, model_id=model.id,
-                       value=objective(q_star), loss=loss,
+                       value=value, loss=loss,
                        argmax={"q": q_star}, objective=objective)
 
 
@@ -640,7 +640,7 @@ def three_point_bound(model: Model, theta: float = 1.0, s_domain=None, *,
     pe, split = _pair_source(model, theta, n, theta0, "three-point")
     if s_domain is None and n is not None:
         # the default range keeps theta0 - delta inside the parameter space
-        room = theta0 - model.descriptor.parameter_space.lo
+        room = theta0 - model.parameter_space.lo
         s_domain = 0.0, min(_DEFAULT_S_DOMAIN.hi, math.nextafter(room, 0.0))
     domain = _as_domain(s_domain)
     argmax, objective = _three_point_engine(
@@ -768,13 +768,15 @@ def transform_two_point_bound(model: Model, loss: LossSpec,
         return rho_val * pe / denom
 
     if q is None:
-        q = _best_prior(oracle, vartheta0, vartheta1, n, alpha_frac,
-                        objective)
+        q, value = _best_prior(oracle, vartheta0, vartheta1, n, alpha_frac,
+                               objective)
     elif not 0.0 <= q <= 1.0:
         raise ValueError("prior must lie in [0, 1]")
+    else:
+        value = objective(float(q))
     notes = (f"m={m}, k={k}, alpha_frac={alpha_frac:g}",)
     return BoundReport(bound_id="transform", model_id=model.id,
-                       value=objective(float(q)), loss=loss,
+                       value=value, loss=loss,
                        argmax={"q": float(q)}, notes=notes,
                        objective=objective)
 

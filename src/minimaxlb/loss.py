@@ -105,9 +105,11 @@ def eval_rho(loss: LossSpec, eps: float) -> float:
 
 def omega(loss: LossSpec, s):
     """Scaling function omega(s), elementwise over an array s (a custom
-    omega_fn takes arrays too); |s|^t for power losses."""
+    omega_fn takes arrays too); |s|^t for power losses, by float_power, the C
+    library's pow on arrays and scalars alike (power may use a SIMD pow on an
+    array, off by an ulp from the scalar call)."""
     if loss.kind == "power":
-        out = np.abs(s) ** loss.t
+        out = np.float_power(np.abs(s), loss.t)
     elif loss.omega_fn is None:
         raise ValueError("custom loss without a supplied omega is not usable "
                          "in local bounds")

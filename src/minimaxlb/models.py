@@ -43,7 +43,6 @@ from .numerics import Interval, gaussian_tail
 __all__ = [
     "BinaryErrorOracle",
     "LocalErrorLimit",
-    "ModelDescriptor",
     "Model",
     "PeEstimate",
     "binary_gaussian_error",
@@ -53,9 +52,6 @@ __all__ = [
     "uniform_scale_pe",
     "uniform_location_pe",
     "gaussian_location_pe",
-    "gaussian_location_limit",
-    "awgn_signal_limit",
-    "exp_family_limit",
     "fisher_from_log_partition",
     "monte_carlo_pe",
     "get_model",
@@ -119,25 +115,15 @@ class LocalErrorLimit:
 
 
 @dataclass(frozen=True)
-class ModelDescriptor:
+class Model:
+    """A registry entry: the model's id, its parameter space and whichever
+    views it supports."""
+
     id: str
     parameter_space: Interval
-    nuisance: Optional[str] = None
-    notes: str = ""
-
-
-@dataclass(frozen=True)
-class Model:
-    """A registry entry: descriptor plus whichever views the model supports."""
-
-    descriptor: ModelDescriptor
     oracle: Optional[BinaryErrorOracle] = None
     limit: Optional[LocalErrorLimit] = None
     sampler: Optional[object] = None
-
-    @property
-    def id(self) -> str:
-        return self.descriptor.id
 
 
 # ---------------------------------------------------------------------------
@@ -477,92 +463,6 @@ def _min_form_limit(arms, rate: RatePower) -> LocalErrorLimit:
                            pe_pair=pe_pair, pair_split=pair_split)
 
 
-def gaussian_location_limit(sigma: float) -> LocalErrorLimit:
-    """Local limit of the Gaussian location model: contraction xi = n^(-1/2),
-    pe_inf(theta, s) = Q(s/sigma), optimal prior identically 1/2."""
-    _require_scale("sigma", sigma)
-    return _gaussian_limit(
-        lambda theta, delta: delta / sigma,
-        RatePower(0.5, 1.0, "n"))
-
-
-def uniform_scale_limit() -> LocalErrorLimit:
-    """Local limit of the uniform scale model: xi = 1/n, pair error
-    min{q, (1-q) e^(-delta/theta)}, so pe_inf(theta, s) = 1/(1 + e^(2s/theta))
-    at the optimizing prior, which is itself 1/(1 + e^(2s/theta)); the
-    frozen-prior variant is e^(-2s/theta)/2."""
-
-    def arms(theta, delta):
-        if not theta > 0:
-            raise ValueError("theta must be positive")
-        return 1.0, np.exp(-delta / theta)
-
-    return _min_form_limit(arms, RatePower(1.0, 2.0, "n"))
-
-
-def uniform_location_limit() -> LocalErrorLimit:
-    """Local limit of the uniform location model: xi = 1/n, pair error
-    e^(-delta) min{q, 1-q}, so pe_inf(theta, s) = e^(-2s)/2, parameter-free."""
-
-    def arms(theta, delta):
-        overlap = np.exp(-delta)
-        return overlap, overlap
-
-    return _min_form_limit(arms, RatePower(1.0, 2.0, "n"))
-
-
-def awgn_signal_limit(kind: str, *, pdot: float = None, n0: float = None,
-                      power: float = None, pulse_width: float = None
-                      ) -> LocalErrorLimit:
-    """Local limits for estimating a parameter of a known waveform observed in
-    white Gaussian noise of two-sided spectral density n0/2 over [0, T].
-
-    kind "smooth": differentiable signal parameterization with derivative
-    power pdot; the correlation decays quadratically, xi = T^(-1/2) and
-    pe_inf(theta, s) = Q(sqrt(2*pdot/n0) * s).
-
-    kind "rect": time-shift of a rectangular pulse of power ``power`` and
-    duration pulse_width; the correlation decays linearly in the shift, which
-    makes the exponent linear too, so xi = 1/T and
-    pe_inf(theta, s) = Q(sqrt(2*power*s/(n0*pulse_width))).
-    """
-    if kind == "smooth":
-        if pdot is None or n0 is None:
-            raise ValueError("smooth kind needs pdot and n0")
-        _require_scale("pdot", pdot)
-        _require_scale("n0", n0)
-        coef = math.sqrt(2.0 * pdot / n0)
-        return _gaussian_limit(
-            lambda theta, delta: coef * delta,
-            RatePower(0.5, 1.0, "T"))
-
-    if kind == "rect":
-        if power is None or n0 is None or pulse_width is None:
-            raise ValueError("rect kind needs power, n0 and pulse_width")
-        _require_scale("power", power)
-        _require_scale("n0", n0)
-        _require_scale("pulse_width", pulse_width)
-        scale = power / (n0 * pulse_width)
-        return _gaussian_limit(
-            lambda theta, delta: 2.0 * np.sqrt(scale * delta),
-            RatePower(1.0, 2.0, "T"))
-
-    raise ValueError(f"unknown waveform kind: {kind!r}")
-
-
-def exp_family_limit(fisher: Callable[[float], float]) -> LocalErrorLimit:
-    """Local limit for a smooth exponential family with Fisher information
-    fisher(theta): xi = n^(-1/2), pe_inf(theta, s) = Q(s * sqrt(fisher(theta)))."""
-
-    def dist(theta, delta):
-        info = float(fisher(float(theta)))
-        if not info > 0:
-            raise ValueError("Fisher information must be positive")
-        return delta * math.sqrt(info)
-
-    return _gaussian_limit(dist, RatePower(0.5, 1.0, "n"))
-
-
 def fisher_from_log_partition(log_z: Callable[[float], float], theta: float,
                               h: float = 1e-3) -> float:
     """Fisher information of an exponential family from its log-normalizer:
@@ -772,34 +672,48 @@ def _make_exp_rate() -> Model:
         return (np.where(same, same_u, np.where(swap, 1.0 - u, u)),
                 np.where(same, same_value, value))
 
-    desc = ModelDescriptor(
-        id="exp-rate", parameter_space=Interval(0.0, math.inf),
-        notes="exponential density with rate theta, single observation")
-    return Model(descriptor=desc, oracle=BinaryErrorOracle(pe, pair_split),
+    # single observation of an exponential density with rate theta
+    return Model("exp-rate", Interval(0.0, math.inf),
+                 oracle=BinaryErrorOracle(pe, pair_split),
                  sampler=ExponentialRateSampler())
 
 
+# the real line, as far as an Interval (whose lower end is finite) reaches
+_REAL_LINE = Interval(-1e308, math.inf)
+
+
 def _make_uniform_scale() -> Model:
-    desc = ModelDescriptor(
-        id="uniform-scale", parameter_space=Interval(0.0, math.inf),
-        notes="Uniform[0, theta]; contraction xi = 1/n")
+    # Uniform[0, theta].  Local limit: xi = 1/n, pair error
+    # min{q, (1-q) e^(-delta/theta)}, so pe_inf(theta, s) = 1/(1 + e^(2s/theta))
+    # at the optimizing prior, which is itself 1/(1 + e^(2s/theta)); the
+    # frozen-prior variant is e^(-2s/theta)/2.
+    def arms(theta, delta):
+        if not theta > 0:
+            raise ValueError("theta must be positive")
+        return 1.0, np.exp(-delta / theta)
+
     oracle = BinaryErrorOracle(
         lambda q, t0, t1, n: _min_form_pe(*_scale_arms(t0, t1, n), q),
         lambda a, b, t0, t1, n: _min_form_split(*_scale_arms(t0, t1, n), a, b))
-    return Model(descriptor=desc, oracle=oracle,
-                 limit=uniform_scale_limit(), sampler=UniformScaleSampler())
+    return Model("uniform-scale", Interval(0.0, math.inf), oracle=oracle,
+                 limit=_min_form_limit(arms, RatePower(1.0, 2.0, "n")),
+                 sampler=UniformScaleSampler())
 
 
 def _make_uniform_location() -> Model:
-    desc = ModelDescriptor(id="uniform-location",
-                           parameter_space=Interval(-1e308, math.inf),
-                           notes="Uniform[theta, theta+1]; contraction xi = 1/n")
+    # Uniform[theta, theta+1].  Local limit: xi = 1/n, pair error
+    # e^(-delta) min{q, 1-q}, so pe_inf(theta, s) = e^(-2s)/2, parameter-free.
+    def arms(theta, delta):
+        overlap = np.exp(-delta)
+        return overlap, overlap
+
     oracle = BinaryErrorOracle(
         lambda q, t0, t1, n: _min_form_pe(*_location_arms(t0, t1, n), q),
         lambda a, b, t0, t1, n: _min_form_split(*_location_arms(t0, t1, n),
                                                 a, b))
-    return Model(descriptor=desc, oracle=oracle,
-                 limit=uniform_location_limit(), sampler=UniformLocationSampler())
+    return Model("uniform-location", _REAL_LINE, oracle=oracle,
+                 limit=_min_form_limit(arms, RatePower(1.0, 2.0, "n")),
+                 sampler=UniformLocationSampler())
 
 
 def _make_gauss_location(sigma: float = 1.0) -> Model:
@@ -812,36 +726,50 @@ def _make_gauss_location(sigma: float = 1.0) -> Model:
         return binary_gaussian_split(a, b, _gaussian_distance(
             theta0, theta1, n, sigma, max(np.ndim(a), np.ndim(b))))
 
-    desc = ModelDescriptor(
-        id="gauss-location", parameter_space=Interval(-1e308, math.inf),
-        notes=f"Gaussian location, sigma={sigma:g}; contraction xi = n^-0.5")
-    return Model(descriptor=desc, oracle=BinaryErrorOracle(pe, pair_split),
-                 limit=gaussian_location_limit(sigma),
+    # local limit: xi = n^(-1/2), pe_inf(theta, s) = Q(s/sigma), optimal
+    # prior identically 1/2
+    _require_scale("sigma", sigma)
+    limit = _gaussian_limit(lambda theta, delta: delta / sigma,
+                            RatePower(0.5, 1.0, "n"))
+    return Model("gauss-location", _REAL_LINE,
+                 oracle=BinaryErrorOracle(pe, pair_split), limit=limit,
                  sampler=GaussianLocationSampler(sigma))
 
 
+# The waveform models estimate a parameter of a known signal observed in
+# white Gaussian noise of two-sided spectral density n0/2 over [0, T].
+
 def _make_awgn_smooth(pdot: float = 1.0, n0: float = 1.0) -> Model:
-    desc = ModelDescriptor(
-        id="awgn-smooth", parameter_space=Interval(-1e308, math.inf),
-        notes=f"smooth waveform in white noise, pdot={pdot:g}, n0={n0:g}")
-    return Model(descriptor=desc,
-                 limit=awgn_signal_limit("smooth", pdot=pdot, n0=n0))
+    # differentiable signal parameterization with derivative power pdot: the
+    # correlation decays quadratically, so xi = T^(-1/2) and
+    # pe_inf(theta, s) = Q(sqrt(2*pdot/n0) * s)
+    _require_scale("pdot", pdot)
+    _require_scale("n0", n0)
+    coef = math.sqrt(2.0 * pdot / n0)
+    return Model("awgn-smooth", _REAL_LINE, limit=_gaussian_limit(
+        lambda theta, delta: coef * delta, RatePower(0.5, 1.0, "T")))
 
 
 def _make_awgn_rect(power: float = 1.0, n0: float = 1.0,
                     pulse_width: float = 1.0) -> Model:
-    desc = ModelDescriptor(
-        id="awgn-rect", parameter_space=Interval(-1e308, math.inf),
-        notes=f"rectangular pulse delay in white noise, power={power:g}, "
-              f"n0={n0:g}, pulse_width={pulse_width:g}")
-    return Model(descriptor=desc,
-                 limit=awgn_signal_limit("rect", power=power, n0=n0,
-                                         pulse_width=pulse_width))
+    # time-shift of a rectangular pulse of power ``power`` and duration
+    # pulse_width: the correlation decays linearly in the shift, which makes
+    # the exponent linear too, so xi = 1/T and
+    # pe_inf(theta, s) = Q(sqrt(2*power*s/(n0*pulse_width)))
+    _require_scale("power", power)
+    _require_scale("n0", n0)
+    _require_scale("pulse_width", pulse_width)
+    scale = power / (n0 * pulse_width)
+    return Model("awgn-rect", _REAL_LINE, limit=_gaussian_limit(
+        lambda theta, delta: 2.0 * np.sqrt(scale * delta),
+        RatePower(1.0, 2.0, "T")))
 
 
 def _make_exp_family(fisher: Callable[[float], float] = None,
                      sigma: float = 1.0, h: float = 1e-3) -> Model:
-    # default family: Gaussian in its natural parameterization, whose
+    # a smooth exponential family with Fisher information fisher(theta):
+    # xi = n^(-1/2), pe_inf(theta, s) = Q(s * sqrt(fisher(theta))).  The
+    # default family is Gaussian in its natural parameterization, whose
     # log-normalizer is theta^2 sigma^2 / 2; the Fisher information is then
     # computed numerically rather than assumed.
     if fisher is None:
@@ -853,20 +781,21 @@ def _make_exp_family(fisher: Callable[[float], float] = None,
         def fisher(theta):
             return fisher_from_log_partition(log_z, theta, h)
 
-    desc = ModelDescriptor(
-        id="exp-family", parameter_space=Interval(-1e308, math.inf),
-        notes="smooth exponential family via its Fisher information")
-    return Model(descriptor=desc, limit=exp_family_limit(fisher))
+    def dist(theta, delta):
+        info = float(fisher(float(theta)))
+        if not info > 0:
+            raise ValueError("Fisher information must be positive")
+        return delta * math.sqrt(info)
+
+    return Model("exp-family", _REAL_LINE,
+                 limit=_gaussian_limit(dist, RatePower(0.5, 1.0, "n")))
 
 
 def _make_nuisance_rotation(sigma: float = 1.0) -> Model:
+    # 2-D Gaussian location with an unknown second coordinate: no view here,
+    # the rotation-transform bound serves it
     _require_scale("sigma", sigma)
-    desc = ModelDescriptor(
-        id="nuisance-rotation", parameter_space=Interval(-1e308, math.inf),
-        nuisance="second location coordinate",
-        notes="2-D Gaussian location with an unknown nuisance coordinate; "
-              "served by the rotation-transform bound")
-    return Model(descriptor=desc)
+    return Model("nuisance-rotation", _REAL_LINE)
 
 
 _FACTORIES = {

@@ -54,6 +54,34 @@ class TestTwoPoint:
         assert abs(rep.value - expect) <= 1e-14 * expect
         assert rep.reevaluate() == rep.value
 
+    @pytest.mark.parametrize("model_id,theta0,theta1,n", [
+        ("exp-rate", 1.0, 2.0, 1), ("uniform-scale", 1.0, 1.5, 3),
+        ("gauss-location", 0.0, 0.24, 100)])
+    def test_prior_search_scores_each_candidate_once(self, model_id, theta0,
+                                                     theta1, n):
+        # the split's prior and its two neighbours are scored once each; the
+        # value reported is the one scored, not a fourth evaluation
+        model = models.get_model(model_id)
+        calls = []
+
+        def pe(*args):
+            calls.append(args)
+            return model.oracle.pe(*args)
+
+        counted = dataclasses.replace(model, oracle=dataclasses.replace(
+            model.oracle, pe=pe))
+        rep = mx.two_point_bound(counted, LossSpec.mse(), theta0, theta1, n)
+        assert len(calls) == 3
+        assert rep.value == mx.two_point_bound(model, LossSpec.mse(), theta0,
+                                               theta1, n).value
+        assert rep.reevaluate() == rep.value
+        calls.clear()
+        rep = mx.transform_two_point_bound(
+            counted, LossSpec.mse(), mx.TransformSet.sign_pair(), theta0,
+            theta1, 1, n=n)
+        assert len(calls) == 3
+        assert rep.reevaluate() == rep.value
+
     def test_rejects_nonconvex_loss(self, gauss):
         crooked = LossSpec.custom(lambda e: math.sqrt(abs(e)), convex=False,
                                   symmetric=True)
@@ -716,8 +744,10 @@ class TestPairSplit:
         a = np.array([0.3, 0.5])
         b = np.array([0.7, 0.1])
         for lim, A, B in [
-                (models.uniform_scale_limit(), 1.0, math.exp(-0.8 / 2.0)),
-                (models.uniform_location_limit(), math.exp(-0.8), math.exp(-0.8))]:
+                (models.get_model("uniform-scale").limit, 1.0,
+                 math.exp(-0.8 / 2.0)),
+                (models.get_model("uniform-location").limit, math.exp(-0.8),
+                 math.exp(-0.8))]:
             u, value = lim.pair_split(2.0, 0.8, a, b)
             assert np.allclose(u, A * a / (A * a + B * b), rtol=1e-15, atol=0.0)
             assert np.allclose(value, A * a * B * b / (A * a + B * b),

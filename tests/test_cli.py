@@ -151,7 +151,7 @@ class TestCompute:
         rc, out, err = run_cli(capsys, "compute", "--model", model_id,
                                "--bound", "mc-pe", f"--theta0={theta0}",
                                f"--theta1={theta1}", "--trials", "10000")
-        space = models.get_model(model_id).descriptor.parameter_space
+        space = models.get_model(model_id).parameter_space
         assert rc == 2 and out == ""
         assert (f"finite-sample mc-pe bound needs {bad} inside the parameter "
                 f"space ({space.lo:g}, {space.hi:g})") in err
@@ -197,7 +197,7 @@ class TestCompute:
         assert json.loads(out)["value"] == pytest.approx(report.value,
                                                          rel=1e-9)
         assert report.reevaluate() == report.value
-        space = models.get_model(model_id).descriptor.parameter_space
+        space = models.get_model(model_id).parameter_space
         delta = report.argmax["delta"]
         points = [theta0 + delta, theta0 - delta if bound == "three-point"
                   else theta0]

@@ -1,5 +1,6 @@
 """Loss descriptors and rate bookkeeping."""
 
+import numpy as np
 import pytest
 
 from minimaxlb.loss import LossSpec, RatePower, eval_rho, omega
@@ -33,6 +34,16 @@ class TestLossSpec:
     def test_omega_power(self):
         assert omega(LossSpec.power(3.0), -2.0) == 8.0
         assert omega(LossSpec.mse(), 1.5) == 2.25
+
+    @pytest.mark.parametrize("t", [1.0, 2.0, 2.7])
+    def test_omega_array_equals_its_scalar_calls(self, t):
+        # a local scan ranks its grid with the same bits as the value it
+        # reports at the argmax
+        s = np.random.default_rng(7).uniform(0.1, 5.0, 2000)
+        loss = LossSpec.power(t)
+        scalars = np.array([omega(loss, float(x)) for x in s])
+        assert np.array_equal(omega(loss, s), scalars)
+        assert np.array_equal(omega(loss, -s), scalars)
 
     def test_custom_loss(self):
         loss = LossSpec.custom(lambda e: abs(e) ** 3, convex=True,

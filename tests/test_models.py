@@ -205,10 +205,36 @@ class TestRegistry:
             "awgn-rect": ("power", "n0", "pulse_width"),
             "exp-family": ("sigma", "h"), "nuisance-rotation": ("sigma",)}
 
-    def test_descriptor_notes_nuisance(self):
+    def test_nuisance_rotation_has_no_view(self):
+        # the rotation-transform bound serves it without any model view
         model = models.get_model("nuisance-rotation")
         assert model.oracle is None
-        assert model.descriptor.nuisance is not None
+        assert model.limit is None
+        assert model.sampler is None
+
+    # each model's parameter space (lo, hi) and the views it has
+    _SPECS = {
+        "exp-rate": ((0.0, math.inf), {"oracle", "sampler"}),
+        "uniform-scale": ((0.0, math.inf), {"oracle", "limit", "sampler"}),
+        "uniform-location": ((-1e308, math.inf),
+                             {"oracle", "limit", "sampler"}),
+        "gauss-location": ((-1e308, math.inf),
+                           {"oracle", "limit", "sampler"}),
+        "awgn-smooth": ((-1e308, math.inf), {"limit"}),
+        "awgn-rect": ((-1e308, math.inf), {"limit"}),
+        "exp-family": ((-1e308, math.inf), {"limit"}),
+        "nuisance-rotation": ((-1e308, math.inf), set())}
+
+    @pytest.mark.parametrize("model_id", models.MODEL_IDS)
+    def test_model_record(self, model_id):
+        model = models.get_model(model_id)
+        (lo, hi), views = self._SPECS[model_id]
+        assert model.id == model_id
+        assert (model.parameter_space.lo, model.parameter_space.hi) == (lo, hi)
+        assert {v for v in ("oracle", "limit", "sampler")
+                if getattr(model, v) is not None} == views
+        with pytest.raises(AttributeError):
+            model.id = "other"
 
 
 class TestLocalLimits:
@@ -267,13 +293,14 @@ class TestLocalLimits:
         s = np.linspace(0.0, 20.0, 10001)
         scale = 1.1 / (0.9 * 0.3)
         cases = [
-            (models.gaussian_location_limit(0.7), s / 0.7),
-            (models.awgn_signal_limit("smooth", pdot=1.3, n0=0.4),
+            (models.get_model("gauss-location", sigma=0.7).limit, s / 0.7),
+            (models.get_model("awgn-smooth", pdot=1.3, n0=0.4).limit,
              math.sqrt(2.0 * 1.3 / 0.4) * s),
-            (models.awgn_signal_limit("rect", power=1.1, n0=0.9,
-                                      pulse_width=0.3),
+            (models.get_model("awgn-rect", power=1.1, n0=0.9,
+                              pulse_width=0.3).limit,
              np.sqrt(2.0 * scale * s)),
-            (models.exp_family_limit(lambda theta: 1.7 + theta * theta),
+            (models.get_model("exp-family",
+                              fisher=lambda theta: 1.7 + theta * theta).limit,
              s * math.sqrt(1.7 + 1.3 * 1.3))]
         for lim, arg in cases:
             assert lim.pe_inf_halfprior is lim.pe_inf
@@ -306,16 +333,12 @@ class TestLocalLimits:
             else:
                 assert np.array_equal(view, expect)
 
-    def test_awgn_unknown_kind(self):
-        with pytest.raises(ValueError):
-            models.awgn_signal_limit(kind="triangular")
-
     def test_exp_family_default_matches_gauss(self):
         lim = models.get_model("exp-family").limit
         assert abs(lim.pe_inf(1.0, 1.3) - gaussian_tail(1.3)) < 1e-6
 
     def test_exp_family_nonpositive_information(self):
-        lim = models.exp_family_limit(lambda theta: -1.0)
+        lim = models.get_model("exp-family", fisher=lambda theta: -1.0).limit
         with pytest.raises(ValueError, match="Fisher information"):
             lim.pe_inf(1.0, 1.0)
 
