@@ -504,6 +504,8 @@ def moment_two_point_bound(model: Model, t: float, theta: float = 1.0,
     """
     if t < 1.0:
         raise ValueError("moment bound needs t >= 1")
+    if r_fixed is not None and not 0.0 <= r_fixed <= 1.0:
+        raise ValueError(f"r must lie in [0, 1], got {r_fixed!r}")
     loss = LossSpec.power(t)
     domain = _as_domain(s_domain)
     pe, exact_split = _pair_source(model, theta, n, theta0, "moment")
@@ -713,8 +715,8 @@ def transform_list_error_bound(loss: LossSpec, transforms: TransformSet,
 
     The caller supplies the list-error probability (the chance the true
     hypothesis falls outside the m-1 most likely); the geometry contributes
-    m * rho(|(1/m) sum_i T_i theta_i|).  This is the general m-way hook; the
-    specialized engines below feed it.
+    m * rho(|(1/m) sum_i T_i theta_i|).  This is the general m-way hook for
+    a list error the caller computes; no engine here calls it.
     """
     if not 0.0 <= list_error <= 1.0:
         raise ValueError("list_error must be a probability")

@@ -197,20 +197,28 @@ def compute_bound(model_id: str, bound_id: str, loss: LossSpec, params: dict,
         "n": n, "theta0": None if "theta0" not in params
         else float(params["theta0"])}
 
+    def required(key: str):
+        # a parameter this bound cannot run without
+        if key not in params:
+            raise ValueError(f"{bound_id} needs parameter {key!r}")
+        return params[key]
+
     if bound_id == "two-point":
-        return bounds.two_point_bound(model, loss, float(params["theta0"]),
-                                      float(params["theta1"]), n)
+        return bounds.two_point_bound(model, loss, float(required("theta0")),
+                                      float(required("theta1")), n)
 
     if bound_id == "concave-two-point":
         return bounds.concave_two_point_bound(model, loss,
-                                              float(params["theta0"]),
-                                              float(params["theta1"]), n)
+                                              float(required("theta0")),
+                                              float(required("theta1")), n)
 
     if bound_id == "local-two-point":
-        half = params.get("prior", "opt") == "half"
+        prior = params.get("prior", "opt")
+        if prior not in ("opt", "half"):
+            raise ValueError(f"prior must be opt or half, got {prior!r}")
         return bounds.local_two_point_bound(model, loss, theta,
                                             _s_domain(params),
-                                            half_prior=half)
+                                            half_prior=prior == "half")
 
     if bound_id == "moment":
         if loss.kind != "power":
@@ -247,8 +255,8 @@ def compute_bound(model_id: str, bound_id: str, loss: LossSpec, params: dict,
         k = _int_param(params, "k", max(tset.m // 2, 1))
         q = params.get("q")
         return bounds.transform_two_point_bound(
-            model, loss, tset, float(params["theta0"]),
-            float(params["theta1"]), k,
+            model, loss, tset, float(required("theta0")),
+            float(required("theta1")), k,
             q=None if q is None else float(q), n=n)
 
     if bound_id == "nuisance-rotation":
@@ -256,8 +264,8 @@ def compute_bound(model_id: str, bound_id: str, loss: LossSpec, params: dict,
                                               _s_domain(params))
 
     if bound_id in ("ring", "all-pairs"):
-        thetas = [float(x) for x in str(params["thetas"]).split(",")]
-        weights = [float(x) for x in str(params["weights"]).split(",")]
+        thetas = [float(x) for x in str(required("thetas")).split(",")]
+        weights = [float(x) for x in str(required("weights")).split(",")]
         fn = bounds.pairwise_ring_bound if bound_id == "ring" \
             else bounds.pairwise_allpairs_bound
         return fn(model, loss, thetas, weights, n)
@@ -266,7 +274,7 @@ def compute_bound(model_id: str, bound_id: str, loss: LossSpec, params: dict,
     # report so the rendering paths stay uniform
     if model.sampler is None:
         raise ValueError(f"model {model_id!r} has no sampler for mc-pe")
-    theta0, theta1 = float(params["theta0"]), float(params["theta1"])
+    theta0, theta1 = float(required("theta0")), float(required("theta1"))
     bounds._require_inside(model, "mc-pe", theta0=theta0, theta1=theta1)
     est = models.monte_carlo_pe(
         model.sampler, float(params.get("q", 0.5)), theta0, theta1, n,

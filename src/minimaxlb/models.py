@@ -2,12 +2,12 @@
 
 Each model exposes one or both of:
 
-* an exact binary MAP error probability pe(q, theta0, theta1, n), the Bayes
-  error of deciding between p(.|theta0) and p(.|theta1) from n iid draws
-  under priors (q, 1-q);
-* a local error limit describing what happens when the two test points
-  approach each other at the model's natural contraction rate xi = v^(-gamma)
-  (v is the sample size n, or the observation time T for waveform models).
+* an exact binary MAP error, reached only as model.oracle.pe(q, theta0,
+  theta1, n): the Bayes error of deciding between p(.|theta0) and
+  p(.|theta1) from n iid draws under priors (q, 1-q);
+* a local error limit model.limit, describing what happens when the two
+  test points approach each other at the model's natural contraction rate
+  xi = v^(-gamma) (v is the sample size n, or the time T of waveform models).
 
 The local limit carries three views of the same object:
 
@@ -23,8 +23,8 @@ over u in [0, 1] of G((1-u)*a, u*b) and u the split that attains it,
 elementwise over the masses a, b >= 0 (value 0 where a or b is 0).  It
 solves every prior the engines need: the two-point and transform priors
 split two fixed masses, and the nested engines split each flank pair of a
-simplex row (the pinned three-point row is in closed form).  Every limit
-comes from one builder per kind of pair error, Gaussian or min-form.
+simplex row (the pinned three-point row is in closed form).  Every limit,
+and both min-form oracles, come from one builder per kind of pair error.
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ __all__ = [
     "binary_gaussian_split",
     "exponential_rate_pe",
     "exponential_rate_split",
-    "uniform_scale_pe",
-    "uniform_location_pe",
-    "gaussian_location_pe",
     "fisher_from_log_partition",
     "monte_carlo_pe",
     "get_model",
@@ -325,9 +322,10 @@ def exponential_rate_split(a, b, theta0, theta1):
 
 def _scale_arms(theta0, theta1, n: int):
     """Arms (min{1, (theta1/theta0)^n}, min{1, (theta0/theta1)^n}) of the
-    uniform-scale pair error, in either order; each ratio is capped at 1
-    before the power, so it cannot overflow.  float_power is the C library's
-    pow, as Python's float power (power may use a SIMD pow, off by an ulp)."""
+    uniform-scale pair error, in either order: pe = min{q, (1-q)
+    (theta0/theta1)^n} for theta0 <= theta1, as a draw above theta0 settles
+    the matter.  Each ratio is capped at 1 before the power, so it cannot
+    overflow; float_power is C pow, as Python's float power (not SIMD pow)."""
     if n < 1:
         raise ValueError("need n >= 1")
     if not ((np.minimum(theta0, theta1) > 0.0)
@@ -335,19 +333,6 @@ def _scale_arms(theta0, theta1, n: int):
         raise ValueError("need test points in (0, inf)")
     return (np.float_power(np.minimum(1.0, theta1 / theta0), n),
             np.float_power(np.minimum(1.0, theta0 / theta1), n))
-
-
-def uniform_scale_pe(q, theta0, theta1, n: int):
-    """MAP error for n iid draws from Uniform[0, theta], 0 < theta0 <= theta1.
-
-    Any draw above theta0 settles the matter, so the error mass lives on
-    [0, theta0]^n: pe = min{q, (1-q) * alpha_ratio} with the likelihood-ratio
-    power alpha_ratio = (theta0/theta1)^n.  Coincident scales degenerate to
-    min{q, 1-q}.
-    """
-    if not np.all(np.less_equal(theta0, theta1)):
-        raise ValueError("need theta0 <= theta1")
-    return _min_form_pe(*_scale_arms(theta0, theta1, n), q)
 
 
 def _difference(theta0, theta1):
@@ -359,8 +344,9 @@ def _difference(theta0, theta1):
 
 def _location_arms(theta0, theta1, n: int):
     """Arms (A, A), A = max(0, 1 - |theta1 - theta0|)^n, of the
-    uniform-location pair error, in either order (float_power as in
-    _scale_arms)."""
+    uniform-location pair error A min{q, 1-q}, in either order: the n draws
+    all land in the overlap of the supports with probability A, and there the
+    posteriors are flat (float_power as in _scale_arms)."""
     if n < 1:
         raise ValueError("need n >= 1")
     spacing = np.abs(_difference(theta0, theta1))
@@ -368,31 +354,10 @@ def _location_arms(theta0, theta1, n: int):
     return overlap, overlap
 
 
-def uniform_location_pe(q, theta0, theta1, n: int):
-    """MAP error for n iid draws from Uniform[theta, theta+1].
-
-    With spacing delta = theta1 - theta0 >= 0, the hypotheses are confusable
-    only when every draw lands in the overlap, an event of probability
-    max(0, 1 - delta)^n, and there the posteriors are flat:
-    pe = max(0, 1 - delta)^n * min{q, 1-q}, 0 once the supports are disjoint.
-    """
-    if not np.all(np.less_equal(theta0, theta1)):
-        raise ValueError("need theta0 <= theta1")
-    return _min_form_pe(*_location_arms(theta0, theta1, n), q)
-
-
 def _separation(theta0, theta1) -> float:
     a = np.atleast_1d(np.asarray(theta0, dtype=float))
     b = np.atleast_1d(np.asarray(theta1, dtype=float))
     return float(np.linalg.norm(b - a))
-
-
-def gaussian_location_pe(q, theta0, theta1, n: int, sigma: float):
-    """MAP error for n iid Gaussian draws with known scale sigma and mean
-    theta0 vs theta1: scalars, or arrays as the BinaryErrorOracle contract
-    describes (a trailing axis beyond q's holds vector coordinates)."""
-    return binary_gaussian_error(
-        q, _gaussian_distance(theta0, theta1, n, sigma, np.ndim(q)))
 
 
 def _require_scale(name: str, value: float) -> None:
@@ -406,8 +371,7 @@ def _gaussian_distance(theta0, theta1, n: int, sigma: float, axes: int):
     """Distance of the two sample means in units of their standard error,
     elementwise.  Where theta0 and theta1 have more than ``axes`` axes (those
     of the prior or the masses), the last one holds vector coordinates and
-    the separation is the Euclidean norm over it."""
-    _require_scale("sigma", sigma)
+    the separation is the Euclidean norm over it (the factory checks sigma)."""
     if n < 1:
         raise ValueError("need n >= 1")
     diff = _difference(theta0, theta1)
@@ -461,6 +425,19 @@ def _min_form_limit(arms, rate: RatePower) -> LocalErrorLimit:
     return LocalErrorLimit(pe_inf=pe_inf, rate=rate,
                            pe_inf_halfprior=pe_inf_halfprior,
                            pe_pair=pe_pair, pair_split=pair_split)
+
+
+def _min_form_oracle(arms) -> BinaryErrorOracle:
+    """The exact oracle whose pair error is the min form min{A*q, B*(1-q)},
+    (A, B) = arms(theta0, theta1, n), with its exact pair split."""
+
+    def pe(q, theta0, theta1, n):
+        return _min_form_pe(*arms(theta0, theta1, n), q)
+
+    def pair_split(a, b, theta0, theta1, n):
+        return _min_form_split(*arms(theta0, theta1, n), a, b)
+
+    return BinaryErrorOracle(pe, pair_split)
 
 
 def fisher_from_log_partition(log_z: Callable[[float], float], theta: float,
@@ -604,9 +581,7 @@ def monte_carlo_pe(sampler, q: float, theta0, theta1, n: int, trials: int,
     common term, and reports the empirical error rate with the half-width of
     its 95% Wilson (1927) score interval: the larger distance from the
     estimate to the interval's ends, which stays positive at an empirical
-    rate of 0 or 1.  Fully determined by ``seed``.  Earlier versions drew
-    all n observations of each trial: their decisions had the same law, but
-    their estimates at a given seed differ.
+    rate of 0 or 1.  Fully determined by ``seed``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -692,10 +667,8 @@ def _make_uniform_scale() -> Model:
             raise ValueError("theta must be positive")
         return 1.0, np.exp(-delta / theta)
 
-    oracle = BinaryErrorOracle(
-        lambda q, t0, t1, n: _min_form_pe(*_scale_arms(t0, t1, n), q),
-        lambda a, b, t0, t1, n: _min_form_split(*_scale_arms(t0, t1, n), a, b))
-    return Model("uniform-scale", Interval(0.0, math.inf), oracle=oracle,
+    return Model("uniform-scale", Interval(0.0, math.inf),
+                 oracle=_min_form_oracle(_scale_arms),
                  limit=_min_form_limit(arms, RatePower(1.0, 2.0, "n")),
                  sampler=UniformScaleSampler())
 
@@ -707,20 +680,18 @@ def _make_uniform_location() -> Model:
         overlap = np.exp(-delta)
         return overlap, overlap
 
-    oracle = BinaryErrorOracle(
-        lambda q, t0, t1, n: _min_form_pe(*_location_arms(t0, t1, n), q),
-        lambda a, b, t0, t1, n: _min_form_split(*_location_arms(t0, t1, n),
-                                                a, b))
-    return Model("uniform-location", _REAL_LINE, oracle=oracle,
+    return Model("uniform-location", _REAL_LINE,
+                 oracle=_min_form_oracle(_location_arms),
                  limit=_min_form_limit(arms, RatePower(1.0, 2.0, "n")),
                  sampler=UniformLocationSampler())
 
 
 def _make_gauss_location(sigma: float = 1.0) -> Model:
-    # already symmetric: both depend on the separation only, and the pair
-    # error is symmetric in q <-> 1-q, so G(x, y) = G(y, x)
+    # n iid N(theta, sigma^2) draws; both views depend on the separation
+    # only and pe is symmetric in q <-> 1-q, so G(x, y) = G(y, x)
     def pe(q, theta0, theta1, n):
-        return gaussian_location_pe(q, theta0, theta1, n, sigma)
+        return binary_gaussian_error(q, _gaussian_distance(
+            theta0, theta1, n, sigma, np.ndim(q)))
 
     def pair_split(a, b, theta0, theta1, n):
         return binary_gaussian_split(a, b, _gaussian_distance(

@@ -26,7 +26,6 @@ brute-force minimum a check compares against.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -137,21 +136,12 @@ def _require_finite(*values) -> None:
         raise ValueError("inputs must be finite")
 
 
-@functools.lru_cache(maxsize=4)
-def _simplex_rows(d: int):
-    """The levels 1/d, 2/d, ..., 1 of the step-1/d barycentric simplex
-    grid, read-only, built on first use and shared by every later call.  The
-    grid runs over q = i/d fastest, then r = j/d, with i + j <= d and
-    w = 1 - q - r; its boundary points (a zero q or r, or a w that rounds to
-    0 or below) score +inf."""
-    levels = np.arange(1, d + 1) / d
-    levels.flags.writeable = False
-    return levels
-
-
 def _simplex_argmin(d: int, a0, a1, a2) -> tuple:
     """The first point (q, r) = (i/d, j/d) of the step-1/d simplex grid, in
     grid order, minimizing max(a0 / q, a1 / r, a2 / w), and that minimum.
+    The grid runs over q fastest, then r, with i + j <= d and w = 1 - q - r;
+    its boundary points (a zero q or r, or a w that rounds to 0 or below)
+    score +inf.
 
     Only a rectangle of the grid is scored.  Let V be the value at the
     interior point nearest the proportional split.  Correctly rounded
@@ -162,7 +152,7 @@ def _simplex_argmin(d: int, a0, a1, a2) -> tuple:
     a2 / w <= V along that first j, or past the last j where a2 / w <= V
     along that first i.  The first argmin in grid order is inside the
     rectangle, which is scored in grid order."""
-    levels = _simplex_rows(d)
+    levels = np.arange(1, d + 1) / d
     total = a0 + a1 + a2
     i0 = min(max(int(round(d * a0 / total)), 1), d - 2)
     j0 = min(max(int(round(d * a1 / total)), 1), d - 1 - i0)

@@ -214,6 +214,11 @@ class TestMomentTwoPoint:
         local = mx.local_two_point_bound(model, LossSpec.mse())
         assert abs(pinned.value - local.value) <= 1e-9 * max(local.value, 1.0)
 
+    @pytest.mark.parametrize("r", [1.5, -0.5, float("nan"), float("inf")])
+    def test_split_outside_the_unit_interval_is_refused(self, gauss, r):
+        with pytest.raises(ValueError, match=r"r must lie in \[0, 1\]"):
+            mx.moment_two_point_bound(gauss, 2.0, r_fixed=r)
+
     def test_finite_sample_mode(self, gauss):
         rep = mx.moment_two_point_bound(gauss, 2.0, n=100, theta0=0.0)
         assert rep.value > 0.0

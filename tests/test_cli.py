@@ -291,6 +291,57 @@ class TestCompute:
                              "--bound", "two-point")
         assert rc == 2
 
+    @pytest.mark.parametrize("model_id,bound,params,key", [
+        ("exp-rate", "two-point", (), "theta0"),
+        ("exp-rate", "concave-two-point", ("theta0=1",), "theta1"),
+        ("gauss-location", "transform", ("theta1=1",), "theta0"),
+        ("gauss-location", "ring", ("thetas=0,1",), "weights"),
+        ("gauss-location", "all-pairs", ("weights=1,1",), "thetas"),
+        ("uniform-scale", "mc-pe", ("theta0=1",), "theta1")])
+    def test_missing_parameter_names_bound_and_key(self, capsys, model_id,
+                                                   bound, params, key):
+        argv = ["compute", "--model", model_id, "--bound", bound]
+        for item in params:
+            argv += ["--param", item]
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err == f"minimaxlb: {bound} needs parameter {key!r}\n"
+
+    def test_missing_parameter_keeps_the_check_order(self, capsys):
+        # the checks that ran before a missing key was read still come first
+        rc, _, err = run_cli(capsys, "compute", "--model", "awgn-smooth",
+                             "--bound", "mc-pe")
+        assert rc == 2 and "has no sampler" in err
+        rc, _, err = run_cli(capsys, "compute", "--model", "gauss-location",
+                             "--bound", "transform", "--param",
+                             "transforms=bogus")
+        assert rc == 2 and "unknown transform set" in err
+
+    def test_prior_opt_is_the_default(self, capsys):
+        argv = ["compute", "--model", "uniform-scale", "--bound",
+                "local-two-point", "--format", "json"]
+        assert run_cli(capsys, *argv, "--param", "prior=opt") == \
+            run_cli(capsys, *argv)
+
+    @pytest.mark.parametrize("prior", ["foo", "Half", "1"])
+    def test_prior_rejects_other_words(self, capsys, prior):
+        rc, out, err = run_cli(capsys, "compute", "--model", "uniform-scale",
+                               "--bound", "local-two-point", "--param",
+                               f"prior={prior}")
+        assert (rc, out) == (2, "")
+        assert "prior must be opt or half" in err
+
+    @pytest.mark.parametrize("r,refused", [("1.5", True), ("-0.5", True),
+                                           ("nan", True), ("0", False),
+                                           ("1", False)])
+    def test_moment_split_must_lie_in_the_unit_interval(self, capsys, r,
+                                                        refused):
+        rc, out, err = run_cli(capsys, "compute", "--model", "gauss-location",
+                               "--bound", "moment", "--param", f"r={r}")
+        assert (rc, "r must lie in [0, 1]" in err) == (2 if refused else 0,
+                                                       refused)
+        assert (out == "") == refused
+
     def test_malformed_param(self, capsys):
         rc, _, err = run_cli(capsys, "compute", "--model", "gauss-location",
                              "--bound", "local-two-point", "--param", "oops")

@@ -129,48 +129,50 @@ class TestExponentialRatePe:
 
 
 class TestClosedFormPe:
+    # the exact pair errors, read through each model's oracle
+    @staticmethod
+    def pe(model_id):
+        return models.get_model(model_id).oracle.pe
+
     def test_uniform_scale(self):
         # min of the prior mass and the dominated-likelihood mass
-        assert models.uniform_scale_pe(0.4, 1.0, 2.0, 1) == \
-            pytest.approx(min(0.4, 0.6 * 0.5))
-        assert models.uniform_scale_pe(0.5, 1.0, 1.1, 20) == \
-            pytest.approx(0.5 * (1.0 / 1.1) ** 20)
+        pe = self.pe("uniform-scale")
+        assert pe(0.4, 1.0, 2.0, 1) == pytest.approx(min(0.4, 0.6 * 0.5))
+        assert pe(0.5, 1.0, 1.1, 20) == pytest.approx(0.5 * (1.0 / 1.1) ** 20)
 
     def test_uniform_location(self):
-        assert models.uniform_location_pe(0.5, 0.0, 0.25, 2) == \
-            pytest.approx(0.75 ** 2 * 0.5)
+        pe = self.pe("uniform-location")
+        assert pe(0.5, 0.0, 0.25, 2) == pytest.approx(0.75 ** 2 * 0.5)
         # from spacing 1 on the supports are disjoint and the test never errs
-        assert models.uniform_location_pe(0.5, 0.0, 1.5, 1) == 0.0
-        assert models.uniform_location_pe(0.3, 0.0, 1.0, 4) == 0.0
+        assert pe(0.5, 0.0, 1.5, 1) == 0.0
+        assert pe(0.3, 0.0, 1.0, 4) == 0.0
         with pytest.raises(ValueError):
-            models.uniform_location_pe(0.5, 0.0, 0.5, 0)
-        with pytest.raises(ValueError):
-            models.uniform_location_pe(0.5, 0.5, 0.0, 1)
+            pe(0.5, 0.0, 0.5, 0)
 
     @pytest.mark.parametrize("n", [1, 4, 20])
     def test_uniform_min_forms_keep_their_closed_forms(self, n):
         # both pair errors are the min form of their arms, bit for bit equal
         # to the closed forms written out
         q = np.linspace(0.0, 1.0, 1001)
+        pe = self.pe("uniform-scale")
         for theta0, theta1 in [(1.0, 1.0), (1.0, 1.05), (2.0, 2.9),
                                (0.3, 1.2), (5.0, 5.999)]:
             expect = np.minimum(q, (1.0 - q) * (theta0 / theta1) ** n)
-            assert np.array_equal(
-                models.uniform_scale_pe(q, theta0, theta1, n), expect)
-            assert models.uniform_scale_pe(0.3, theta0, theta1, n) == \
+            assert np.array_equal(pe(q, theta0, theta1, n), expect)
+            assert pe(0.3, theta0, theta1, n) == \
                 min(0.3, 0.7 * (theta0 / theta1) ** n)
+        pe = self.pe("uniform-location")
         for theta0, theta1 in [(0.0, 0.0), (0.0, 0.01), (-2.0, -1.75),
                                (0.3, 0.8), (3.1, 4.0), (1.0, 1.999)]:
             spacing = theta1 - theta0
             expect = (1.0 - spacing) ** n * np.minimum(q, 1.0 - q)
-            assert np.array_equal(
-                models.uniform_location_pe(q, theta0, theta1, n), expect)
-            assert models.uniform_location_pe(0.3, theta0, theta1, n) == \
-                (1.0 - spacing) ** n * 0.3
+            assert np.array_equal(pe(q, theta0, theta1, n), expect)
+            assert pe(0.3, theta0, theta1, n) == (1.0 - spacing) ** n * 0.3
 
     def test_gaussian_location_reduces_to_tail(self):
         # n observations collapse to one test at distance sqrt(n) |delta|
-        val = models.gaussian_location_pe(0.5, 0.0, 0.1, 400, 1.0)
+        val = models.get_model("gauss-location", sigma=1.0).oracle.pe(
+            0.5, 0.0, 0.1, 400)
         assert val == gaussian_tail(math.sqrt(400) * 0.1 / 2.0)
 
 

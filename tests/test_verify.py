@@ -3,8 +3,6 @@
 import ast
 import math
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -504,13 +502,3 @@ class TestIndependence:
         hits = {name for name in imported
                 if engine & set(name.split("."))}
         assert not hits, f"verify.py imports engine modules: {sorted(hits)}"
-
-    def test_import_builds_no_simplex_grid(self):
-        src = os.path.join(os.path.dirname(VERIFY_SOURCE), os.pardir)
-        code = ("import minimaxlb; from minimaxlb import verify; "
-                "print(verify._simplex_rows.cache_info().currsize)")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, timeout=120,
-                             check=True)
-        assert out.stdout.strip() == "0"
