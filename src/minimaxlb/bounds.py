@@ -32,7 +32,8 @@ from scipy.special import owens_t
 
 from .loss import LossSpec, RatePower, eval_rho, omega
 from .models import Model, _require_scale, _separation
-# integrate_semi_infinite is unused: bench/tracing.py rebinds it (ROADMAP 3)
+# integrate_semi_infinite is unused: bench/tracing.py rebinds it until the
+# tracer rework (ROADMAP direction 1) lets direction 2 delete it
 from .numerics import (Interval, _as_interval, _lift_simplex2, _lift_simplex3,
                        _to_domain, gaussian_tail, integrate_semi_infinite,
                        maximize_1d, maximize_simplex, maximize_zoom)

@@ -190,6 +190,9 @@ def compute_bound(model_id: str, bound_id: str, loss: LossSpec, params: dict,
                              f"{model_id} (known: {', '.join(known)})")
 
     theta = float(params.get("theta", 1.0))
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be a finite number, "
+                         f"got {params['theta']!r}")
     n = _int_param(params, "n", 1)
     # the nested bounds are local unless a sample size is given; then they
     # run on the exact oracle around theta0, which they require

@@ -137,25 +137,20 @@ def binary_gaussian_error(q, d):
     """
     q = np.asarray(q, dtype=float)
     d = _distance(d)
-    if isinstance(d, float) and d == 0.0:
-        return _min_form_pe(1.0, 1.0, q)
-    ds = d if isinstance(d, float) else np.where(d > 0.0, d, 1.0)
+    ds = np.where(d > 0.0, d, 1.0)
     interior = (q > 0.0) & (q < 1.0)
     qs = np.where(interior, q, 0.5)
     L = np.log((1.0 - qs) / qs)
     pe = qs * gaussian_tail(ds / 2.0 - L / ds) + (1.0 - qs) * gaussian_tail(ds / 2.0 + L / ds)
-    out = np.where(interior, pe, 0.0)
-    if not isinstance(d, float):
-        out = np.where(d > 0.0, out, _min_form_pe(1.0, 1.0, q))
+    out = np.where(d > 0.0, np.where(interior, pe, 0.0), np.minimum(q, 1.0 - q))
     return float(out) if out.ndim == 0 else out
 
 
 def _distance(d):
-    """A pair distance as a float, or as a float array if it has axes;
-    ValueError if any element is negative or NaN."""
-    array = isinstance(d, np.ndarray) and d.ndim > 0
-    d = d.astype(float, copy=False) if array else float(d)
-    if not (np.all(d >= 0.0) if array else d >= 0.0):
+    """A pair distance as a float array (0-d for a scalar); ValueError if
+    any element is negative or NaN."""
+    d = np.asarray(d, dtype=float)
+    if not (d >= 0.0).all():
         raise ValueError("distance must be nonnegative")
     return d
 
@@ -184,6 +179,22 @@ def _min_form_split(A: float, B: float, a, b):
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SPLIT_XTOL = 1e-14
 _SPLIT_MAX_ITERS = 100
+_TINY = np.finfo(float).tiny
+
+
+def _newton(step, x):
+    """Iterate the elementwise safeguarded step (x_new, done) = step(x) from
+    the array x, at most _SPLIT_MAX_ITERS times.  Each element keeps the
+    iterate of the step that converged it, so an element of an array call
+    equals its own scalar call."""
+    active = np.ones(x.shape, dtype=bool)
+    for _ in range(_SPLIT_MAX_ITERS):
+        x_new, done = step(x)
+        x = np.where(active, x_new, x)
+        active &= ~done
+        if not active.any():
+            break
+    return x
 
 
 def binary_gaussian_split(a, b, d):
@@ -198,12 +209,10 @@ def binary_gaussian_split(a, b, d):
     steps kept inside a bisection bracket.  Then value = a*Q(x*) and
     u = expit(d*(d/2 - x*) + ln(a/b)).  d = 0 is the min-form case
     G(x, y) = min{x, y}.  Value 0 (and u = 1/2) where a or b is 0.  d may
-    be an array, broadcast against a and b; each element stops its Newton
-    steps when it converges, so an element equals its own scalar call.
+    be an array, broadcast against a and b; an element equals its own scalar
+    call (see _newton).
     """
     d = _distance(d)
-    if isinstance(d, float) and d == 0.0:
-        return _min_form_split(1.0, 1.0, a, b)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     pos = (a > 0.0) & (b > 0.0)
@@ -219,28 +228,23 @@ def binary_gaussian_split(a, b, d):
     h_mid = hazard(mid, log_ndtr(-mid))
     lo = mid + np.minimum(log_ratio, 0.0) / h_mid
     hi = mid + np.maximum(log_ratio, 0.0) / h_mid
-    x = mid + log_ratio / (2.0 * h_mid)  # the Newton step from d/2
-    active = np.ones(x.shape, dtype=bool)
-    for _ in range(_SPLIT_MAX_ITERS):
+    def step(x):
+        nonlocal lo, hi
         log_q0 = log_ndtr(-x)
         log_q1 = log_ndtr(x - d)
         f = log_ratio + log_q0 - log_q1
         lo = np.where(f > 0.0, x, lo)
         hi = np.where(f < 0.0, x, hi)
-        step = x + f / (hazard(x, log_q0) + hazard(d - x, log_q1))
-        x_new = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-        done = np.abs(x_new - x) <= _SPLIT_XTOL * np.maximum(1.0, np.abs(x))
-        x = np.where(active, x_new, x)
-        active &= ~done
-        if not active.any():
-            break
-    u = np.where(pos, expit(d * (mid - x) + log_ratio), 0.5)
-    value = np.where(pos, a * gaussian_tail(x), 0.0)
-    if not isinstance(d, float):
-        zero_u, zero_value = _min_form_split(1.0, 1.0, a, b)
-        u = np.where(d > 0.0, u, zero_u)
-        value = np.where(d > 0.0, value, zero_value)
-    return u, value
+        newton = x + f / (hazard(x, log_q0) + hazard(d - x, log_q1))
+        x_new = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
+        return x_new, np.abs(x_new - x) <= _SPLIT_XTOL * np.maximum(1.0, np.abs(x))
+
+    # start at the Newton step from d/2
+    x = _newton(step, mid + log_ratio / (2.0 * h_mid))
+    zero_u, zero_value = _min_form_split(1.0, 1.0, a, b)
+    live = pos & (d > 0.0)
+    return (np.where(live, expit(d * (mid - x) + log_ratio), zero_u),
+            np.where(live, a * gaussian_tail(x), zero_value))
 
 
 def _rates(theta0, theta1):
@@ -288,8 +292,7 @@ def exponential_rate_split(a, b, theta0, theta1):
     concave, so Newton steps from a point where f <= 0 rise monotonically to
     it.  Then u = expit(ln(a*theta0 / (b*theta1)) + (theta1 - theta0)*t*).
     Value 0 (and u = 1/2) where a or b is 0.  Elementwise over arrays of the
-    masses and rates; each element stops its Newton steps when it converges,
-    so an element equals its own scalar call.
+    masses and rates; an element equals its own scalar call (see _newton).
     """
     theta0, theta1 = _rates(theta0, theta1)
     a = np.asarray(a, dtype=float)
@@ -297,27 +300,23 @@ def exponential_rate_split(a, b, theta0, theta1):
     pos = (a > 0.0) & (b > 0.0)
     log_ratio = np.log(np.where(pos, a, 1.0)) - np.log(np.where(pos, b, 1.0))
     # 1 - e^(-x) <= x gives f(t) <= ln(a/b) + ln(theta0 t) + theta1 t, which
-    # is <= 0 at t = min(1/theta1, b/(e a theta0)); the floor keeps t normal,
-    # and a start past the root then halves back towards it
-    t = np.exp(np.maximum(np.minimum(-np.log(theta1),
-                                     -log_ratio - 1.0 - np.log(theta0)),
-                          -700.0))
-    active = np.ones(t.shape, dtype=bool)
-    for _ in range(_SPLIT_MAX_ITERS):
+    # is <= 0 at t = min(1/theta1, b/(e a theta0)); the floors keep t normal,
+    # so the slope (about 1/t) cannot overflow, and a start past the root
+    # then halves back towards it
+    t0 = np.exp(np.maximum(np.minimum(-np.log(theta1), -log_ratio - 1.0
+                                      - np.log(theta0)), -700.0))
+    def step(t):
         em1 = -np.expm1(-theta0 * t)
         f = log_ratio + np.log(em1) + theta1 * t
         # f' = theta0 e^(-theta0 t) / (1 - e^(-theta0 t)) + theta1
-        step = t - f / (theta0 * (1.0 - em1) / em1 + theta1)
-        t_new = np.maximum(step, 0.5 * t)
-        done = np.abs(t_new - t) <= _SPLIT_XTOL * t
-        t = np.where(active, t_new, t)
-        active &= ~done
-        if not active.any():
-            break
-    u = np.where(pos, expit(log_ratio + np.log(theta0 / theta1)
-                            + (theta1 - theta0) * t), 0.5)
-    value = np.where(pos, b * np.exp(-theta1 * t), 0.0)
-    return u, value
+        newton = t - f / (theta0 * (1.0 - em1) / em1 + theta1)
+        t_new = np.maximum(np.maximum(newton, 0.5 * t), _TINY)
+        return t_new, np.abs(t_new - t) <= _SPLIT_XTOL * t
+
+    t = _newton(step, t0)
+    return (np.where(pos, expit(log_ratio + np.log(theta0 / theta1)
+                                + (theta1 - theta0) * t), 0.5),
+            np.where(pos, b * np.exp(-theta1 * t), 0.0))
 
 
 def _scale_arms(theta0, theta1, n: int):

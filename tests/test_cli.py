@@ -416,6 +416,20 @@ class TestCompute:
         assert rc == 2 and out == ""
         assert "smax must be a finite positive number" in err
 
+    @pytest.mark.parametrize("model_id,bound,theta", [
+        ("uniform-scale", "local-two-point", "inf"),
+        ("gauss-location", "local-two-point", "nan"),
+        ("gauss-location", "three-point", "inf"),
+        ("exp-rate", "moment", "-inf")])
+    def test_theta_must_be_finite(self, capsys, model_id, bound, theta):
+        # theta=inf on uniform-scale used to exit 0 with 400 at the s = 20
+        # edge, and gauss-location, which never reads theta, exited 0
+        for flag in ([f"--theta={theta}"], ["--param", f"theta={theta}"]):
+            rc, out, err = run_cli(capsys, "compute", "--model", model_id,
+                                   "--bound", bound, *flag)
+            assert rc == 2 and out == ""
+            assert "theta must be a finite number" in err
+
     @pytest.mark.parametrize("model_id,theta,n,message", [
         ("exp-rate", "1", "2", "single-observation (n = 1)"),
         ("uniform-scale", "-1", "1", "need test points in (0, inf)"),

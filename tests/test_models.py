@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 import oracles
@@ -90,6 +90,84 @@ class TestExponentialRateSplitArrays:
         for k in range(len(a)):
             assert (u[k], value[k]) == \
                 models.exponential_rate_split(a[k], b[k], 1.0, 3.0)
+
+
+_SPLIT_GRID = np.linspace(0.0, 1.0, 2001)
+_MASSES = st.one_of(st.just(0.0),
+                    st.floats(-320.0, 0.0).map(lambda e: 10.0 ** e))
+_RATES = st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)).map(
+    lambda e: (10.0 ** min(e), 10.0 ** max(e))).filter(lambda r: r[0] < r[1])
+
+
+def _gaussian_pair_error(x, y, d):
+    """G(x, y) = (x+y) pe(x/(x+y)) of two unit Gaussians d apart, formed
+    from the masses: x Q(d/2 - ln(y/x)/d) + y Q(d/2 + ln(y/x)/d)."""
+    with np.errstate(all="ignore"):
+        L = np.log(y) - np.log(x)
+        g = x * stats.norm.sf(d / 2 - L / d) + y * stats.norm.sf(d / 2 + L / d)
+    return np.where((x > 0) & (y > 0), np.where(d > 0, g, np.minimum(x, y)), 0)
+
+
+def _rate_pair_error(x, y, theta0, theta1):
+    """G(x, y) of one exponential draw: the MAP rule picks theta1 below
+    t = ln(y theta1 / (x theta0)) / (theta1 - theta0), never if t <= 0."""
+    with np.errstate(all="ignore"):
+        t = (np.log(y) - np.log(x) + np.log(theta1 / theta0)) / (theta1 - theta0)
+        g = -x * np.expm1(-theta0 * t) + y * np.exp(-theta1 * t)
+    return np.where((x > 0) & (y > 0), np.where(t > 0, g, y), 0)
+
+
+def _check_split(split, reference, a, b, *args):
+    """No warning, finite output, a value no grid split of the masses beats,
+    and an array call equal to its scalar calls bit for bit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, value = split(a, b, *args)
+        scalar = [split(*map(float, row)) for row in zip(a, b, *args)]
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(value))
+    x = (1.0 - _SPLIT_GRID) * a[:, None]
+    y = _SPLIT_GRID * b[:, None]
+    best = reference(x, y, *(arg[:, None] for arg in args)).max(axis=1)
+    # beyond 1e-12 relative, the grid's own rounding at subnormal masses
+    assert np.all(value >= best * (1.0 - 1e-12) - 1e-322)
+    assert [(float(s), float(v)) for s, v in scalar] == \
+        [(float(s), float(v)) for s, v in zip(u, value)]
+
+
+class TestExactSplitsAtExtremeInputs:
+    """Both exact splits at masses down to 1e-320 and exactly 0, Gaussian
+    distances from 0 to 40 and rates over three decades."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(_MASSES, _MASSES, st.floats(0.0, 40.0)),
+                    min_size=1, max_size=6))
+    def test_gaussian_split(self, rows):
+        a, b, d = map(np.array, zip(*rows))
+        _check_split(models.binary_gaussian_split, _gaussian_pair_error,
+                     a, b, d)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(_MASSES, _MASSES, _RATES), min_size=1,
+                    max_size=6))
+    @example([(1.0, 2.5e-321, (121.3, 623.6))])
+    def test_exponential_rate_split(self, rows):
+        # a subnormal mass used to halve t below the smallest normal, where
+        # the slope of the equalizer overflowed
+        a, b, rates = zip(*rows)
+        theta0, theta1 = map(np.array, zip(*rates))
+        _check_split(models.exponential_rate_split, _rate_pair_error,
+                     np.array(a), np.array(b), theta0, theta1)
+
+    @pytest.mark.parametrize("t", [40, 60, 100, 150])
+    def test_rate_moment_bound_raises_no_warning(self, t):
+        from minimaxlb import catalog
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = catalog.compute_bound(
+                "exp-rate", "moment", catalog.parse_loss(f"power:{t}"),
+                {"n": 1, "theta0": 5.0, "smax": 3.0})
+        assert math.isfinite(rep.value) and rep.value > 0.0
 
 
 class TestExponentialRatePe:
