@@ -40,8 +40,8 @@ class LossSpec:
 
     @staticmethod
     def power(t: float) -> "LossSpec":
-        if not t > 0:
-            raise ValueError("power loss needs exponent t > 0")
+        if not 0 < t < np.inf:
+            raise ValueError("power loss needs a finite exponent t > 0")
         return LossSpec(kind="power", t=float(t), convex=t >= 1.0, symmetric=True)
 
     @staticmethod

@@ -9,19 +9,23 @@ reproduction pipeline refuses to run if any default check fails.
 The searches are row-wise: ``_zoom_rows`` zooms many independent problems
 of one or two coordinates at once, each row with its own box and stop rule,
 so each random check of the default suite is one batched search instead of
-one Python call per draw.  Its draws are scanned in bounded pieces (the 1-D
-checks ``_CHUNK`` rows at a time, the 3-D simplex draws one at a time), and
-then all of them zoom together in one ``_zoom_rows`` call.  A 3-D draw
-covers its whole step-1/400 grid but scores only the rectangle of points
-that a monotonicity bound cannot rule out (``_simplex_argmin``); its
-evaluation count is the grid points covered, scored or excluded, plus the
-zoom's.  The public checks are one-row calls of the same code.  A row does
-the same floating-point operations whatever batch it sits in, so a draw's
-error does not depend on how the draws are batched.  For the same reason
-the objectives divide where the closed forms divide (a_i / r_i, not a_i
-times a cached 1 / r_i): a product with a rounded reciprocal can differ
-from the quotient in the last bit, and such a change would move the
-brute-force minimum a check compares against.
+one Python call per draw.  Its draws are scanned in bounded pieces, and then
+all of them zoom together in one ``_zoom_rows`` call.  The 1-D checks scan
+``_CHUNK`` rows at a time, each chunk one C-order block on which the
+quadratic objectives work in place, so the few blocks alive stay in cache.
+A 3-D draw covers its whole step-1/400 grid but scores only the rectangle
+of points that a monotonicity bound cannot rule out (``_simplex_argmin``,
+which finds every draw's rectangle in one pass and scores them a padded
+block of draws at a time); its evaluation count is the grid points covered,
+scored or excluded, plus the zoom's.  The public checks are one-row calls
+of the same code.  A row does the same floating-point operations whatever
+batch it sits in, so a draw's error does not depend on how the draws are
+batched.  For the same reason the in-place objectives
+do the written formula's operations in its order, and the objectives
+divide where the closed forms divide (a_i / r_i, not a_i times a cached
+1 / r_i): a product with a rounded reciprocal can differ from the quotient
+in the last bit, and such a change would move the brute-force minimum a
+check compares against.
 """
 
 from __future__ import annotations
@@ -44,10 +48,13 @@ __all__ = [
 ]
 
 DEFAULT_SUITE_SEED = 1729
-# rows scanned together: a (32, 2001) scan is about 0.5 MB, so peak memory
-# stays flat however many draws a check has; the zoom that follows takes
-# every row at once, as its stencils are only 13 points a row
-_CHUNK = 32
+# rows scanned together: a (16, 2001) block is about 0.25 MB, so the few
+# blocks an in-place objective needs stay in cache and peak memory stays
+# flat however many draws a check has; the zoom that follows takes every row
+# at once, as its stencils are only 13 points a row
+_CHUNK = 16
+# values in one such block; the 3-D simplex scan pads no block past it
+_BLOCK = _CHUNK * 2001
 _ZOOM_STEPS = np.linspace(-1.0, 1.0, 13)
 
 
@@ -72,20 +79,33 @@ def _zoom_min_rows(f, lo, hi, grid: int):
     float arrays: row k scans np.linspace(lo[k], hi[k], grid), then zooms by
     ``_zoom_rows`` from its best point, the first half-width one scan step.
     The scans go ``_CHUNK`` rows at a time, so one (``_CHUNK``, grid) array
-    is alive at a time; then every row zooms in one batch.  Returns the
+    is alive at a time; then every row zooms in one batch.  A chunk's grid is
+    built in C order by linspace's own arithmetic, row by row: k * step +
+    lo with the last point set to hi, or k / (grid - 1) * (hi - lo) + lo
+    for a row whose step underflows to 0.  So each row holds the values of
+    its own linspace call bit for bit.  (A linspace call on the whole chunk
+    would switch every row to the second form when one row's step
+    underflows, making a row's grid depend on its chunk.)  Returns the
     arrays (argmin, min, evaluations), one entry per row."""
     best_x = np.empty((lo.size, 1))
     best_v = np.empty(lo.size)
+    half = (hi - lo) / (grid - 1)
+    ks = np.arange(grid, dtype=float)
     for start in range(0, lo.size, _CHUNK):
         rows = np.arange(start, min(start + _CHUNK, lo.size))
-        xs = np.linspace(lo[rows], hi[rows], grid, axis=1)
+        xs = ks * half[rows, None]
+        tiny = rows[half[rows] == 0.0]
+        if tiny.size:   # linspace's form for a step that underflows to 0
+            xs[tiny - start] = ks / (grid - 1) * (hi[tiny] - lo[tiny])[:, None]
+        xs += lo[rows, None]
+        xs[:, -1] = hi[rows]
         vals = f(xs, rows)
         i = np.argmin(vals, axis=1)
         at = np.arange(rows.size)
         best_x[rows, 0] = xs[at, i]
         best_v[rows] = vals[at, i]
     best_x, best_v, evals = _zoom_rows(
-        f, best_x, best_v, lo[:, None], hi[:, None], (hi - lo) / (grid - 1),
+        f, best_x, best_v, lo[:, None], hi[:, None], half,
         np.full(lo.size, grid))
     return best_x[:, 0], best_v, evals
 
@@ -141,7 +161,8 @@ def _simplex_argmin(d: int, a0, a1, a2) -> tuple:
     grid order, minimizing max(a0 / q, a1 / r, a2 / w), and that minimum.
     The grid runs over q fastest, then r, with i + j <= d and w = 1 - q - r;
     its boundary points (a zero q or r, or a w that rounds to 0 or below)
-    score +inf.
+    score +inf.  Masses may be arrays, one draw an entry; then so are q, r
+    and the minimum.
 
     Only a rectangle of the grid is scored.  Let V be the value at the
     interior point nearest the proportional split.  Correctly rounded
@@ -151,27 +172,59 @@ def _simplex_argmin(d: int, a0, a1, a2) -> tuple:
     a1 / r <= V, scores above V; so does every point past the last i where
     a2 / w <= V along that first j, or past the last j where a2 / w <= V
     along that first i.  The first argmin in grid order is inside the
-    rectangle, which is scored in grid order."""
+    rectangle, which is scored in grid order.
+
+    Every draw's rectangle is found in one pass.  The rectangles are then
+    scored a block of draws at a time, each padded to the block's largest
+    with +inf points after its own, so a draw's first argmin and its values
+    do not depend on the block; a block holds at most ``_BLOCK`` values."""
+    scalar = np.ndim(a0) == 0
+    a0, a1, a2 = (np.atleast_1d(np.asarray(x, dtype=float))
+                  for x in (a0, a1, a2))
     levels = np.arange(1, d + 1) / d
     total = a0 + a1 + a2
-    i0 = min(max(int(round(d * a0 / total)), 1), d - 2)
-    j0 = min(max(int(round(d * a1 / total)), 1), d - 1 - i0)
+    i0 = np.clip(np.rint(d * a0 / total), 1, d - 2).astype(int)
+    j0 = np.minimum(np.maximum(np.rint(d * a1 / total), 1),
+                    d - 1 - i0).astype(int)
     q0, r0 = levels[i0 - 1], levels[j0 - 1]
-    bound = max(a0 / q0, a1 / r0, a2 / (1.0 - q0 - r0))
-    lo_i = int(np.argmax(a0 / levels <= bound))
-    lo_j = int(np.argmax(a1 / levels <= bound))
+    bound = np.maximum(np.maximum(a0 / q0, a1 / r0),
+                       a2 / (1.0 - q0 - r0))[:, None]
+    lo_i = np.argmax(a0[:, None] / levels <= bound, axis=1)
+    lo_j = np.argmax(a1[:, None] / levels <= bound, axis=1)
     with np.errstate(divide="ignore"):
-        w_i = 1.0 - levels - levels[lo_j]
-        w_j = 1.0 - levels[lo_i] - levels
-        hi_i = np.flatnonzero((w_i > 0.0) & (a2 / w_i <= bound))[-1]
-        hi_j = np.flatnonzero((w_j > 0.0) & (a2 / w_j <= bound))[-1]
-        q = levels[lo_i:hi_i + 1]
-        r = levels[lo_j:hi_j + 1, None]
-        w = 1.0 - q - r
-        vals = np.maximum(np.maximum(a0 / q, a1 / r), a2 / w)
-    vals[w <= 0.0] = np.inf   # boundary points
-    k = np.unravel_index(np.argmin(vals), vals.shape)
-    return q[k[1]], r[k[0], 0], vals[k]
+        w_i = 1.0 - levels - levels[lo_j, None]
+        w_j = 1.0 - levels[lo_i, None] - levels
+        # the last index where the mask holds, from the first in reverse
+        hi_i = d - 1 - np.argmax(((w_i > 0.0) & (a2[:, None] / w_i <= bound))
+                                 [:, ::-1], axis=1)
+        hi_j = d - 1 - np.argmax(((w_j > 0.0) & (a2[:, None] / w_j <= bound))
+                                 [:, ::-1], axis=1)
+    n_i, n_j = (hi_i - lo_i + 1).tolist(), (hi_j - lo_j + 1).tolist()
+    best = np.empty((3, a0.size))
+    start = 0
+    while start < a0.size:
+        stop, wi, wj = start + 1, n_i[start], n_j[start]
+        while (stop < a0.size and (stop + 1 - start) * max(wi, n_i[stop])
+               * max(wj, n_j[stop]) <= _BLOCK):
+            wi, wj = max(wi, n_i[stop]), max(wj, n_j[stop])
+            stop += 1
+        k = slice(start, stop)
+        ii = lo_i[k, None] + np.arange(wi)
+        jj = lo_j[k, None] + np.arange(wj)
+        q = levels[np.minimum(ii, d - 1)]
+        r = levels[np.minimum(jj, d - 1)]
+        w = 1.0 - q[:, None, :] - r[:, :, None]
+        with np.errstate(divide="ignore"):
+            vals = np.maximum(np.maximum(a0[k, None, None] / q[:, None, :],
+                                         a1[k, None, None] / r[:, :, None]),
+                              a2[k, None, None] / w)
+        vals[(w <= 0.0) | (ii > hi_i[k, None])[:, None, :]
+             | (jj > hi_j[k, None])[:, :, None]] = np.inf   # boundary, padding
+        vals = vals.reshape(stop - start, -1)
+        at, flat = np.arange(stop - start), np.argmin(vals, axis=1)
+        best[:, k] = q[at, flat % wi], r[at, flat // wi], vals[at, flat]
+        start = stop
+    return tuple(best[:, 0]) if scalar else tuple(best)
 
 
 def _simplex_errors(*a):
@@ -202,10 +255,10 @@ def _simplex_errors(*a):
             return vals
 
         d = 400
-        scan = np.array([_simplex_argmin(d, *x) for x in zip(*a)])
-        best_x = scan[:, :2]
+        q, r, scan = _simplex_argmin(d, *a)
+        best_x = np.column_stack([q, r])
         _, best, evals = _zoom_rows(
-            f, best_x, scan[:, 2], np.zeros_like(best_x),
+            f, best_x, scan, np.zeros_like(best_x),
             np.ones_like(best_x), np.full(len(total), 1.0 / d),
             np.full(len(total), (d + 1) * (d + 2) // 2),
             inside=lambda q, r: q + r <= 1.0)
@@ -243,8 +296,15 @@ def _two_point_errors(q, p0, p1, theta0, theta1):
         v_analytic = (A * theta0 + B * theta1) / denom
 
     def g(v, rows):
-        return (A[rows, None] * (v - theta0[rows, None]) ** 2
-                + B[rows, None] * (v - theta1[rows, None]) ** 2)
+        # A (v - theta0)^2 + B (v - theta1)^2, in place, in that order
+        out = np.subtract(v, theta0[rows, None])
+        np.square(out, out=out)
+        out *= A[rows, None]
+        tmp = np.subtract(v, theta1[rows, None])
+        np.square(tmp, out=tmp)
+        tmp *= B[rows, None]
+        out += tmp
+        return out
 
     v_star, brute, evals = _zoom_min_rows(g, theta0, theta1, 2001)
     err = np.abs(brute - closed) / np.maximum(np.abs(closed), 1e-30)
@@ -276,9 +336,20 @@ def _three_point_errors(a, b, c, theta0, delta):
     v_closed = theta0 + (c - a) * delta / total
 
     def g(v, rows):
-        x, d = v - theta0[rows, None], delta[rows, None]
-        return (a[rows, None] * (x + d) ** 2 + b[rows, None] * x ** 2
-                + c[rows, None] * (x - d) ** 2)
+        # a (x + d)^2 + b x^2 + c (x - d)^2 with x = v - theta0, in place,
+        # in that order
+        x, d = np.subtract(v, theta0[rows, None]), delta[rows, None]
+        out = np.add(x, d)
+        np.square(out, out=out)
+        out *= a[rows, None]
+        tmp = np.square(x)
+        tmp *= b[rows, None]
+        out += tmp
+        np.subtract(x, d, out=tmp)
+        np.square(tmp, out=tmp)
+        tmp *= c[rows, None]
+        out += tmp
+        return out
 
     v_star, brute, evals = _zoom_min_rows(g, theta0 - delta, theta0 + delta,
                                           2001)
@@ -387,11 +458,36 @@ def check_correlation_expansion() -> CheckReport:
                                 len(deltas) + 3, 1e-6)
 
 
+def _default_draws(seed: int) -> tuple:
+    """The default suite's random draws, in the order it takes them from
+    the seed: the simplex masses (100, 3), the two-point draws (q, p0, p1,
+    theta0, theta1) and the three-point draws (a, b, c, theta0, delta),
+    (1000, 5) each, and the split-chain triples (10 000, 3).  The scalar
+    draws skip Generator.uniform and Generator.normal for the arithmetic
+    they do: uniform(lo, hi) is lo + (hi - lo) * random() and normal() is
+    standard_normal(), so the numbers are the same, bit for bit, and the
+    direct calls skip those methods' argument handling."""
+    rng = np.random.default_rng(seed)
+    random, normal = rng.random, rng.standard_normal
+    masses = 10.0 * (1.0 - rng.random((100, 3)))  # components in (0, 10]
+    two = []
+    for _ in range(1000):
+        q, p0, p1 = random(), 2.0 * random(), 2.0 * random()
+        t0 = normal()
+        two.append((q, p0, p1, t0, t0 + (0.1 + (3.0 - 0.1) * random())))
+    three = []
+    for _ in range(1000):
+        a, b, c = 10.0 * (1.0 - rng.random(3))
+        three.append((a, b, c, normal(), 0.1 + (2.0 - 0.1) * random()))
+    triples = 10.0 * (1.0 - rng.random((10_000, 3)))
+    return masses, np.array(two), np.array(three), triples
+
+
 def run_default_suite(seed: int = DEFAULT_SUITE_SEED) -> list:
     """The fixed verification battery the reproduction pipeline runs first:
     2 + 100 simplex checks, 1000 two-point and 1000 three-point quadratic
     draws, 10 002 split-chain triples and the correlation expansion."""
-    rng = np.random.default_rng(seed)
+    masses, two, three, triples = _default_draws(seed)
     reports = []
 
     exact = [check_simplex_infimum((1.0, 1.0)),
@@ -399,31 +495,18 @@ def run_default_suite(seed: int = DEFAULT_SUITE_SEED) -> list:
     reports.append(CheckReport.from_run(
         "simplex-infimum-exact", max(r.max_abs_error for r in exact), 2, 1e-3))
 
-    masses = 10.0 * (1.0 - rng.random((100, 3)))  # components in (0, 10]
     err, _ = _simplex_errors(*masses.T)
     reports.append(CheckReport.from_run("simplex-infimum-random",
                                         float(np.max(err)), 100, 1e-3))
 
-    draws = []
-    for _ in range(1000):
-        q = rng.uniform(0.0, 1.0)
-        p0, p1 = rng.uniform(0.0, 2.0, 2)
-        t0 = rng.normal()
-        draws.append((q, p0, p1, t0, t0 + rng.uniform(0.1, 3.0)))
     reports.append(CheckReport.from_run(
-        "two-point-quadratic-random",
-        _worst_error(_two_point_errors, np.array(draws)), 1000, 1e-6))
-
-    draws = []
-    for _ in range(1000):
-        a, b, c = 10.0 * (1.0 - rng.random(3))
-        draws.append((a, b, c, rng.normal(), rng.uniform(0.1, 2.0)))
+        "two-point-quadratic-random", _worst_error(_two_point_errors, two),
+        1000, 1e-6))
     reports.append(CheckReport.from_run(
         "three-point-quadratic-random",
-        _worst_error(_three_point_errors, np.array(draws)), 1000, 1e-6))
+        _worst_error(_three_point_errors, three), 1000, 1e-6))
 
-    triples = np.vstack([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0],
-                         10.0 * (1.0 - rng.random((10_000, 3)))])
+    triples = np.vstack([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], triples])
     reports.append(CheckReport.from_run(
         "split-chain-random", float(np.max(_chain_violation(*triples.T))),
         10_002, 1e-12))

@@ -286,6 +286,16 @@ class TestCompute:
         assert rc == 2
         assert "loss" in err
 
+    @pytest.mark.parametrize("loss", [("power:inf",), ("power:nan",),
+                                      ("power:-inf",), ("power", "--t", "inf"),
+                                      ("power", "--t", "nan")])
+    def test_power_exponent_must_be_finite(self, capsys, loss):
+        # power:inf used to exit 0 with value inf and rate n^inf
+        rc, out, err = run_cli(capsys, "compute", "--model", "gauss-location",
+                               "--bound", "local-two-point", "--loss", *loss)
+        assert rc == 2 and out == ""
+        assert "power loss needs a finite exponent t > 0" in err
+
     def test_missing_required_parameter(self, capsys):
         rc, _, err = run_cli(capsys, "compute", "--model", "exp-rate",
                              "--bound", "two-point")

@@ -31,6 +31,12 @@ class TestLossSpec:
         with pytest.raises(ValueError):
             LossSpec.power(-1.0)
 
+    @pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan")])
+    def test_power_requires_finite_exponent(self, t):
+        # power:inf used to give a loss with value inf and rate n^inf
+        with pytest.raises(ValueError, match="finite exponent"):
+            LossSpec.power(t)
+
     def test_omega_power(self):
         assert omega(LossSpec.power(3.0), -2.0) == 8.0
         assert omega(LossSpec.mse(), 1.5) == 2.25

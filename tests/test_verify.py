@@ -186,6 +186,28 @@ class TestSimplexInfimum:
         rep = verify.check_simplex_infimum(a)
         assert (rep.max_abs_error, rep.samples) == _simplex_min_3d(a)
 
+    @pytest.mark.parametrize("seed", [1729, 5, 11, 2024, 77])
+    def test_array_scan_equals_the_row_calls_and_the_full_grid(self, seed):
+        # one batched call pads the draws' rectangles to a common block; each
+        # draw must still get its own first argmin, bit for bit
+        rng = np.random.default_rng(seed)
+        masses = np.vstack([np.array(_suite_draws(seed)[0]),
+                            10.0 ** rng.uniform(-3.0, 3.0, (30, 3)),
+                            [(1.0, 1.0, 1.0), (1.0, 1.0, 2.0),
+                             (10.0, 10.0, 1e-3), (1e-3, 10.0, 10.0),
+                             (1e-6, 1.0, 1.0)]])
+        got = np.column_stack(verify._simplex_argmin(400, *masses.T))
+        rows = np.array([verify._simplex_argmin(400, *a)
+                         for a in masses.tolist()])
+        grid = _simplex_grid_400()
+        full = []
+        for a in masses.tolist():
+            vals = _simplex_grid_values(a, grid)
+            i = int(np.argmin(vals))
+            full.append((grid[i, 0], grid[i, 1], vals[i]))
+        assert np.array_equal(got.view(np.int64), rows.view(np.int64))
+        assert np.array_equal(got.view(np.int64), np.array(full).view(np.int64))
+
     @pytest.mark.parametrize("a", [(float("nan"), 1.0), (1.0, float("inf")),
                                    (1.0, 2.0, float("nan"))])
     def test_rejects_non_finite_masses(self, a):
@@ -435,6 +457,58 @@ class TestRowSearch:
             ref = _zoom_min_1d(lambda x: a[k] * (x - b[k]) ** 2,
                                float(lo[k]), float(hi[k]), 2001)
             assert (x_rows[k], v_rows[k], n_rows[k]) == ref
+
+    def test_chunk_grids_equal_linspace(self):
+        # the scan builds each chunk's grid in C order by linspace's own
+        # arithmetic; a subnormal width makes a step underflow to 0, where
+        # linspace switches formula
+        rng = np.random.default_rng(31)
+        m = 5 * verify._CHUNK + 3
+        lo = rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.uniform(-3.0, 6.0, m)
+        hi = lo + 10.0 ** rng.uniform(-9.0, 2.0, m)
+        lo[verify._CHUNK + 2], hi[verify._CHUNK + 2] = 0.0, 1e-321
+        assert (lo < hi).all()
+        grids = []
+
+        def f(x, rows):
+            if x.shape[1] == 2001:
+                grids.append((x.copy(), rows))
+            return np.abs(x - 0.5 * (lo[rows, None] + hi[rows, None]))
+
+        verify._zoom_min_rows(f, lo, hi, 2001)
+        assert sum(len(rows) for _, rows in grids) == m
+        for xs, rows in grids:
+            if verify._CHUNK + 2 not in rows:
+                ref = np.linspace(lo[rows], hi[rows], 2001, axis=1)
+                assert np.array_equal(xs.view(np.int64), ref.view(np.int64))
+            for x, k in zip(xs, rows):
+                ref = np.linspace(lo[k], hi[k], 2001)
+                assert np.array_equal(x.view(np.int64), ref.view(np.int64))
+
+    def test_underflowing_step_leaves_the_other_rows_alone(self):
+        # a chunk-wide linspace switched every row of a chunk to its
+        # underflow formula, so these rows' errors moved off their one-row
+        # checks by an ulp
+        rng = np.random.default_rng(4)
+        m = verify._CHUNK
+        q, p0, p1 = rng.random(m), 2.0 * rng.random(m), 2.0 * rng.random(m)
+        t0 = rng.normal(size=m)
+        t1 = t0 + rng.uniform(0.1, 3.0, m)
+        t0[3], t1[3] = 0.0, 1e-321
+        batch, _ = verify._two_point_errors(q, p0, p1, t0, t1)
+        singles = [verify.check_two_point_quadratic(*d).max_abs_error
+                   for d in zip(q, p0, p1, t0, t1)]
+        assert batch.tolist() == singles
+
+    @pytest.mark.parametrize("seed", [1729, 5, 11, 2024, 77])
+    def test_suite_draws_are_the_seeded_stream(self, seed):
+        # the suite draws through random() and standard_normal() what
+        # uniform() and normal() would draw
+        got = verify._default_draws(seed)
+        ref = _suite_draws(seed)
+        for drawn, expected in zip(got, ref):
+            assert np.array_equal(np.asarray(drawn).view(np.int64),
+                                  np.array(expected).view(np.int64))
 
     def test_short_last_chunk(self):
         _, two, three, _ = _suite_draws(1729)
