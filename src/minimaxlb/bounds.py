@@ -404,6 +404,15 @@ def _best_prior(oracle, theta0, theta1, n: int, alpha: float, objective):
     return max(((q, objective(q)) for q in priors), key=lambda qv: qv[1])
 
 
+def _require_convex_symmetric(loss: LossSpec, name: str):
+    """ValueError unless the loss is convex and symmetric: the bounds whose
+    factor is 2*rho(spacing/2) rest on rho((a+b)/2) <= (rho(a)+rho(b))/2, and
+    for a concave rho only rho(spacing) of concave_two_point_bound holds."""
+    if not (loss.convex and loss.symmetric):
+        raise ValueError(f"{name} needs a convex symmetric loss; "
+                         "use concave_two_point_bound instead")
+
+
 def _two_point(model: Model, loss: LossSpec, theta0, theta1, n: int,
                bound_id: str, rho: float) -> BoundReport:
     """value = rho * max_q P_e(q, theta0, theta1), q from the pair split."""
@@ -426,9 +435,7 @@ def two_point_bound(model: Model, loss: LossSpec, theta0, theta1,
     the estimator cannot be closer than half the spacing to both points at
     once, which costs rho(spacing/2) whenever the MAP test errs.
     """
-    if not (loss.convex and loss.symmetric):
-        raise ValueError("two_point_bound needs a convex symmetric loss; "
-                         "use concave_two_point_bound instead")
+    _require_convex_symmetric(loss, "two_point_bound")
     return _two_point(model, loss, theta0, theta1, n, "two-point",
                       2.0 * eval_rho(loss, _separation(theta0, theta1) / 2.0))
 
@@ -457,8 +464,12 @@ def local_two_point_bound(model: Model, loss: LossSpec, theta: float = 1.0,
     their midpoint and a wrong MAP decision costs at least rho(s*xi); the
     normalization by rho(xi) leaves omega(s).  With ``half_prior`` the prior
     is frozen at 1/2 instead of optimized, which exposes the gain from the
-    prior search on asymmetric models.
+    prior search on asymmetric models.  The loss must be convex and
+    symmetric (ValueError otherwise).  omega(s) may overflow at large s for a
+    large exponent; such points score inf or NaN in the search, and an
+    infinite value raises ArithmeticError.
     """
+    _require_convex_symmetric(loss, "local_two_point_bound")
     limit = _require_limit(model)
     domain = _as_domain(s_domain)
     pe_fn = limit.pe_inf_halfprior if half_prior else limit.pe_inf
@@ -468,12 +479,17 @@ def local_two_point_bound(model: Model, loss: LossSpec, theta: float = 1.0,
     def objective(s):
         return 2.0 * omega(loss, s) * pe_fn(theta, s)
 
-    s_star = maximize_1d(objective, domain).argmax[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_star = maximize_1d(objective, domain).argmax[0]
+        value = float(objective(s_star))
+    if not math.isfinite(value):
+        raise ArithmeticError(f"local two-point value is not finite: {value} "
+                              f"at s = {s_star:g}")
     rate = limit.rate.with_power_loss(loss.t) if loss.kind == "power" else None
     notes = ("prior frozen at 1/2",) if half_prior else ()
     notes += _edge_notes(s_star, domain)
     return BoundReport(bound_id="local-two-point", model_id=model.id,
-                       value=float(objective(s_star)), loss=loss, rate=rate,
+                       value=value, loss=loss, rate=rate,
                        argmax={"s": s_star}, notes=notes, objective=objective)
 
 
@@ -751,8 +767,10 @@ def transform_two_point_bound(model: Model, loss: LossSpec,
 
     With m even, alpha = 1/2 and T_0 the identity this is exactly the plain
     two-point bound.  q = None maximizes over the prior, which the pair
-    split solves.
+    split solves.  Jensen's inequality over the transforms needs a convex
+    symmetric loss (ValueError otherwise).
     """
+    _require_convex_symmetric(loss, "transform_two_point_bound")
     oracle = _require_oracle(model)
     m = transforms.m
     if not (isinstance(k, int) and 1 <= k <= m):
@@ -882,8 +900,10 @@ def pairwise_ring_bound(model: Model, loss: LossSpec, thetas: Sequence,
             * P_e(q_i/(q_i + q_{i+1}), theta_i, theta_{i+1}).
 
     With m = 2 the ring traverses the single pair twice, which is exactly the
-    factor 2 of the plain two-point bound at a fixed prior.
+    factor 2 of the plain two-point bound at a fixed prior, so it needs a
+    convex symmetric loss as that bound does (ValueError otherwise).
     """
+    _require_convex_symmetric(loss, "pairwise_ring_bound")
     m = len(thetas)
     objective = _pairwise_sum(model, loss, thetas, weights, n,
                               [(i, (i + 1) % m) for i in range(m)])
@@ -899,8 +919,10 @@ def pairwise_allpairs_bound(model: Model, loss: LossSpec, thetas: Sequence,
                                  * P_e(q_i/(q_i + q_j), theta_i, theta_j).
 
     Each unordered pair appears twice in the ordered sum with equal terms;
-    dividing by m-1 keeps the total prior mass accounting consistent.
+    dividing by m-1 keeps the total prior mass accounting consistent.  Its
+    rho(spacing/2) terms need a convex symmetric loss (ValueError otherwise).
     """
+    _require_convex_symmetric(loss, "pairwise_allpairs_bound")
     m = len(thetas)
     total = _pairwise_sum(model, loss, thetas, weights, n,
                           [(i, j) for i in range(m) for j in range(m) if i != j])

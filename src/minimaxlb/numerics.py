@@ -103,6 +103,17 @@ def _as_interval(domain) -> Interval:
 
 
 _ZOOM_STEPS = np.linspace(-1.0, 1.0, 13)
+
+
+def _stencil_offsets(d: int) -> np.ndarray:
+    """The 13^d stencil offsets of d coordinates, the first axis varying
+    fastest."""
+    offsets = _ZOOM_STEPS[np.indices((13,) * d).reshape(d, -1)[::-1].T]
+    offsets.flags.writeable = False
+    return offsets
+
+
+_ZOOM_OFFSETS = {d: _stencil_offsets(d) for d in (1, 2, 3)}
 # values per scan call of maximize_zoom: a batch of B problems is scanned
 # _SCAN_VALUES // B points at a time, so one Gaussian-split block of at most
 # 13 x 1025 values is alive at a time whatever B is
@@ -124,13 +135,23 @@ def maximize_zoom(f, scan: np.ndarray, half: float, stop: float,
     half-width ``half`` shrinking by 0.35 per round while above ``stop``.
     ``lift`` maps coordinates to (rows, feasible mask or None); infeasible
     points score -inf, uncounted.  ``value`` is f re-evaluated at the
-    returned row and ``evaluations`` counts rows; for a batch both argmax
-    and value hold arrays over the problems.
+    returned row and ``evaluations`` counts the rows scored; for a batch
+    both argmax and value hold arrays over the problems.
+
+    f must be elementwise: a row's value depends on that row alone, not on
+    the other rows of the call, as every objective in the package's bounds
+    is.  A single problem over one coordinate then scores two rounds per
+    call: a round's stencil and, around each of its 7 central points
+    (offsets in [-1/2, 1/2]), the next round's, 104 rows inside the round's
+    span.  When the incumbent ends the round on one of those points, or
+    stays put at offset 0, the next round is resolved from the values
+    already scored; otherwise it is a call of its own.  The path, argmax
+    and value are those of one round per call, bit for bit; only
+    ``evaluations`` counts the extra rows.
     """
     rows_of = lift or (lambda coords: (coords, None))
     pick = np.arange(batch)
-    d = scan.shape[1]   # stencil offsets, the first axis varying fastest
-    offsets = _ZOOM_STEPS[np.indices((13,) * d).reshape(d, -1)[::-1].T]
+    offsets = _ZOOM_OFFSETS[scan.shape[1]]
     evals = 0
 
     def score(values, inside):
@@ -141,6 +162,10 @@ def maximize_zoom(f, scan: np.ndarray, half: float, stop: float,
             values = np.where(inside, values, -np.inf)
         evals += values.size if inside is None else int(inside.sum())
         return np.where(np.isnan(values), -np.inf, values)
+
+    def stencil(cand):
+        rows, inside = rows_of(cand)
+        return score(f(rows if batched else rows[0]), inside)
 
     best = np.repeat(scan[:1], batch, axis=0)
     best_v = np.full(batch, -np.inf)
@@ -159,15 +184,18 @@ def maximize_zoom(f, scan: np.ndarray, half: float, stop: float,
         best[better] = coords[i[better]]
         best_v[better] = top[better]
 
-    while half > stop:
-        cand = np.clip(best[:, None, :] + half * offsets, 0.0, 1.0)
-        rows, inside = rows_of(cand)
-        vals = score(f(rows if batched else rows[0]), inside)
-        j = np.argmax(vals, axis=1)
-        better = vals[pick, j] > best_v
-        best = np.where(better[:, None], cand[pick, j], best)
-        best_v = np.where(better, vals[pick, j], best_v)
-        half *= 0.35
+    if batch == 1 and scan.shape[1] == 1:
+        x, v = _two_rounds_a_call(stencil, best[0, 0], best_v[0], half, stop)
+        best, best_v = np.array([[x]]), np.array([v])
+    else:
+        while half > stop:
+            cand = np.clip(best[:, None, :] + half * offsets, 0.0, 1.0)
+            vals = stencil(cand)
+            j = np.argmax(vals, axis=1)
+            better = vals[pick, j] > best_v
+            best = np.where(better[:, None], cand[pick, j], best)
+            best_v = np.where(better, vals[pick, j], best_v)
+            half *= 0.35
 
     rows = rows_of(best)[0]
     final = np.asarray(f(rows[:, None] if batched else rows),
@@ -177,6 +205,35 @@ def maximize_zoom(f, scan: np.ndarray, half: float, stop: float,
         return OptResult(argmax=tuple(rows.T), value=final, evaluations=evals)
     return OptResult(argmax=tuple(float(x) for x in rows[0]),
                      value=float(final[0]), evaluations=evals)
+
+
+def _two_rounds_a_call(stencil, x, v, half: float, stop: float):
+    """maximize_zoom's rounds for one problem over one coordinate, from the
+    incumbent x of value v: each stencil(cand) call scores a round's 13
+    points and, while a next round is due, the next round's 13 around each
+    of its 7 central points.  Returns the last round's (x, v)."""
+    while half > stop:
+        cand = np.clip(x + half * _ZOOM_STEPS, 0.0, 1.0)
+        nxt = half * 0.35
+        if nxt > stop:
+            cand = np.concatenate([cand, np.clip(
+                cand[3:10, None] + nxt * _ZOOM_STEPS, 0.0, 1.0).ravel()])
+        vals = stencil(cand[None, :, None])[0]
+        j = int(vals[:13].argmax())
+        if vals[j] > v:
+            x, v = cand[j], vals[j]
+        else:
+            j = 6
+        half = nxt
+        # the incumbent sits at a central point (offset 0 if it did not
+        # move): the next round is one of the stencils already scored
+        if len(cand) > 13 and 3 <= j <= 9 and cand[j] == x:
+            block = vals[13 * (j - 2):13 * (j - 1)]
+            k = int(block.argmax())
+            if block[k] > v:
+                x, v = cand[13 * (j - 2) + k], block[k]
+            half *= 0.35
+    return x, v
 
 
 def _to_domain(t, domain: Interval):
@@ -191,8 +248,10 @@ def maximize_1d(f, domain, *, cells: int = 512) -> OptResult:
     its shape, on a finite interval: maximize_zoom from one call on the grid
     of ``cells`` cells (the last point exactly domain.hi), with stencils from
     a half-width of one cell down to 1e-12 of the domain's width.  The value
-    never falls below the best grid value; NaN counts as -inf, and
-    ``evaluations`` counts scored abscissas.
+    never falls below the best grid value; NaN counts as -inf.  f must be
+    elementwise (see maximize_zoom), as the search scores two zoom rounds
+    per call, and ``evaluations`` counts every abscissa scored, the
+    look-ahead rounds' included.
     """
     domain = _as_interval(domain)
     if not domain.finite:

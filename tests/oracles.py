@@ -125,6 +125,51 @@ def golden_max_1d(f, lo: float, hi: float, cells: int = 512):
     return float(best_x), best_v, evals
 
 
+def sequential_zoom_1d(f, scan, half: float, stop: float, lift=None):
+    """One problem's zoom over one coordinate in [0, 1], a round a call: the
+    package's maximize_zoom before it scored two rounds per call, kept as
+    the reference its single 1-D searches must equal bit for bit.
+
+    f maps a 1-D array of points (the lifted coordinates) to values; NaN
+    counts as -inf, and so does a point that ``lift`` (coordinates ->
+    (points, feasible mask or None)) marks infeasible.  The scan is one call
+    and its first maximum wins.  Then, while half > stop, the stencil
+    clip(best + half * linspace(-1, 1, 13), 0, 1) is one call, the
+    incumbent moves to its first maximum only on a strict improvement, and
+    half shrinks by 0.35.  Returns (argmax point, value, evaluations,
+    rounds): value is f at the returned point, passed alone, and rounds
+    lists each round's 13 lifted points."""
+    steps = np.linspace(-1.0, 1.0, 13)
+    rows_of = lift or (lambda c: (c, None))
+    evals = 0
+
+    def scored(coords):
+        nonlocal evals
+        points, inside = rows_of(coords)
+        vals = np.asarray(f(points), dtype=float)
+        if inside is not None:
+            vals = np.where(inside, vals, -math.inf)
+        evals += len(coords) if inside is None else int(np.sum(inside))
+        return points, np.where(np.isnan(vals), -math.inf, vals)
+
+    scan = np.asarray(scan, dtype=float)
+    _, vals = scored(scan)
+    i = int(np.argmax(vals))
+    best, best_v = scan[i], vals[i]
+    rounds = []
+    while half > stop:
+        coords = np.clip(best + half * steps, 0.0, 1.0)
+        points, vals = scored(coords)
+        rounds.append(points)
+        j = int(np.argmax(vals))
+        if vals[j] > best_v:
+            best, best_v = coords[j], vals[j]
+        half *= 0.35
+    point = rows_of(np.array([best]))[0]
+    return (float(point[0]), float(np.asarray(f(point), dtype=float)[0]),
+            evals + 1, rounds)
+
+
 def brute_max_simplex3(f, outer: int = 120, rounds: int = 5):
     """Zoomed scan of f(q, r, w) on the open probability simplex."""
     lo_q, hi_q, lo_r, hi_r = 1e-6, 1.0 - 2e-6, 1e-6, 1.0 - 2e-6

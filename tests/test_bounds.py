@@ -94,6 +94,33 @@ class TestTwoPoint:
             mx.two_point_bound(awgn, LossSpec.mse(), 0.0, 1.0)
 
 
+# a concave loss, an asymmetric convex one and a concave power loss: the
+# bounds with a 2*rho(spacing/2)-type factor need convexity and symmetry
+_NOT_CONVEX_SYMMETRIC = [
+    LossSpec.custom(lambda e: math.sqrt(abs(e)), convex=False, symmetric=True,
+                    omega=lambda s: np.sqrt(np.abs(s))),
+    LossSpec.custom(lambda e: e * e * (2.0 if e > 0 else 1.0), convex=True,
+                    symmetric=False, omega=lambda s: s * s),
+    LossSpec.power(0.5),
+]
+
+
+@pytest.mark.parametrize("loss", _NOT_CONVEX_SYMMETRIC,
+                         ids=["concave", "asymmetric", "power-0.5"])
+@pytest.mark.parametrize("bound", [
+    lambda m, loss: mx.local_two_point_bound(m, loss),
+    lambda m, loss: mx.pairwise_ring_bound(m, loss, [0.0, 1.0, 2.0],
+                                           [0.3, 0.4, 0.3]),
+    lambda m, loss: mx.pairwise_allpairs_bound(m, loss, [0.0, 1.0, 2.0],
+                                               [0.3, 0.4, 0.3]),
+    lambda m, loss: mx.transform_two_point_bound(
+        m, loss, mx.TransformSet.sign_pair(), 0.0, 1.0, 1),
+], ids=["local-two-point", "ring", "all-pairs", "transform"])
+def test_half_spacing_bounds_refuse_other_losses(gauss, bound, loss):
+    with pytest.raises(ValueError, match="convex symmetric loss"):
+        bound(gauss, loss)
+
+
 class TestConcaveTwoPoint:
     def test_uniform_scale_pair(self, uniform_scale):
         rep = mx.concave_two_point_bound(uniform_scale, LossSpec.mse(),

@@ -296,6 +296,36 @@ class TestCompute:
         assert rc == 2 and out == ""
         assert "power loss needs a finite exponent t > 0" in err
 
+    @pytest.mark.parametrize("bound,params", [
+        ("local-two-point", ()),
+        ("ring", ("thetas=0,1,2", "weights=.3,.4,.3")),
+        ("all-pairs", ("thetas=0,1,2", "weights=.3,.4,.3")),
+        ("transform", ("theta0=0", "theta1=1")),
+    ])
+    def test_half_spacing_bounds_refuse_a_concave_loss(self, capsys, bound,
+                                                        params):
+        # power:0.5 used to exit 0 with 0.4379 (local-two-point), 0.3935
+        # (ring, all-pairs) and 0.4363 (transform), none a lower bound
+        argv = ["compute", "--model", "gauss-location", "--bound", bound,
+                "--loss", "power:0.5"]
+        for item in params:
+            argv += ["--param", item]
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert "needs a convex symmetric loss" in err
+
+    @pytest.mark.parametrize("model_id,loss", [("gauss-location", "power:400"),
+                                               ("uniform-location",
+                                                "power:300")])
+    def test_local_two_point_overflow_is_a_numerical_failure(
+            self, capsys, model_id, loss):
+        # it used to print value inf and exit 0 with two RuntimeWarnings,
+        # which fail this test as errors
+        rc, out, err = run_cli(capsys, "compute", "--model", model_id,
+                               "--bound", "local-two-point", "--loss", loss)
+        assert rc == 3 and out == ""
+        assert "numerical failure" in err and "not finite: inf" in err
+
     def test_missing_required_parameter(self, capsys):
         rc, _, err = run_cli(capsys, "compute", "--model", "exp-rate",
                              "--bound", "two-point")

@@ -139,6 +139,128 @@ def test_maximize_1d_not_below_golden_section(case, cells):
     assert res.value >= golden - 1e-15 * abs(golden), (res.value, golden)
 
 
+# a single 1-D search scores two zoom rounds per call; it must walk the path
+# of the one-round-a-call reference exactly.  The objectives use only
+# correctly rounded arithmetic, so a point's value cannot depend on the
+# array it is scored in.
+
+def _lookahead_objective(kind, a, b, c, r):
+    """An elementwise objective of family ``kind`` with a peak or edge near
+    a, slope or scale b, a feature at c and a region half-width r."""
+    if kind == "nan-region":
+        return lambda x: np.where(np.abs(x - c) < r, np.nan, -(x - a) ** 2)
+    if kind == "plateau":
+        return lambda x: np.minimum(-(x - a) ** 2, -r * r)
+    if kind == "steps":   # ties everywhere
+        return lambda x: np.floor(-b * (x - a) ** 2 * 8.0) / 8.0
+    if kind == "kink":
+        return lambda x: -np.abs(x - a) * b + np.where(x > c, r, 0.0)
+    if kind == "edge-up":
+        return lambda x: b * x
+    if kind == "edge-down":
+        return lambda x: -b * x
+    if kind == "plus-inf":
+        return lambda x: np.where(x > c, np.inf, -(x - a) ** 2)
+    if kind == "minus-inf":
+        return lambda x: np.where(np.abs(x - a) < r, -np.inf, -(x - c) ** 2)
+    assert kind == "two-peaks"
+    return lambda x: -((x - a) * (x - c)) ** 2 + r * x
+
+
+_LOOKAHEAD_KINDS = ["nan-region", "plateau", "steps", "kink", "edge-up",
+                    "edge-down", "plus-inf", "minus-inf", "two-peaks"]
+
+
+def _as_bits(*values):
+    return np.array(values, dtype=float).view(np.int64)
+
+
+def _check_against_rounds(calls, rounds):
+    """The stencil calls of one search against the reference's rounds: each
+    call scores round k's stencil first, bit for bit, and nothing outside
+    its span; when the next call does not start with round k + 1, that
+    round was one of the call's seven look-ahead stencils.  Returns the
+    number of rounds resolved from a look-ahead."""
+    k = ahead = 0
+    for i, call in enumerate(calls):
+        assert np.array_equal(call[:13], rounds[k])
+        assert np.all((rounds[k].min() <= call) & (call <= rounds[k].max()))
+        k += 1
+        following = calls[i + 1][:13] if i + 1 < len(calls) else None
+        if k < len(rounds) and not np.array_equal(following, rounds[k]):
+            assert len(call) == 104
+            assert any(np.array_equal(block, rounds[k])
+                       for block in call[13:].reshape(7, 13))
+            k += 1
+            ahead += 1
+    assert k == len(rounds)
+    return ahead
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64, 512])
+def test_maximize_1d_walks_the_sequential_zoom(cells):
+    rng = np.random.default_rng(9100 + cells)
+    ahead = 0
+    for kind in _LOOKAHEAD_KINDS:
+        for _ in range(6):
+            lo = rng.uniform(-10.0, 10.0)
+            hi = lo + 10.0 ** rng.uniform(-3.0, 2.0)
+            width = hi - lo
+            a, c = lo + width * rng.uniform(-0.1, 1.1, 2)
+            b, r = rng.uniform(0.5, 20.0), width * rng.uniform(0.0, 0.3)
+            f = _lookahead_objective(kind, a, b, c, r)
+            calls = []
+
+            def counted(x):
+                calls.append(np.array(x))
+                return f(x)
+
+            res = maximize_1d(counted, Interval(lo, hi), cells=cells)
+            x, value, _, rounds = oracles.sequential_zoom_1d(
+                f, np.linspace(0.0, 1.0, cells + 1), 1.0 / cells, 1e-12,
+                lambda t: (np.where(t < 1.0, np.minimum(lo + t * width, hi),
+                                    hi), None))
+            assert np.array_equal(_as_bits(*res.argmax, res.value),
+                                  _as_bits(x, value)), (kind, lo, hi)
+            assert res.evaluations == sum(len(x) for x in calls)
+            ahead += _check_against_rounds(calls[1:-1], rounds)
+    assert ahead > 0
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["plain", "masked"])
+def test_single_1d_zoom_walks_the_sequential_zoom(masked):
+    # maximize_zoom itself on one problem over one coordinate: random scans,
+    # half-widths and stops, with and without a lift that masks points
+    rng = np.random.default_rng(9200 + masked)
+    ahead = 0
+    for kind in _LOOKAHEAD_KINDS:
+        for _ in range(6):
+            scan = np.sort(rng.uniform(0.0, 1.0, rng.integers(1, 40)))
+            half, stop = rng.uniform(1e-3, 0.3), 10.0 ** -rng.uniform(3, 12)
+            cut = rng.uniform(0.5, 1.0) if masked else 2.0
+            a, c = rng.uniform(-0.1, 1.1, 2)
+            f = _lookahead_objective(kind, a, rng.uniform(0.5, 20.0), c,
+                                     rng.uniform(0.0, 0.3))
+            calls = []
+
+            def counted(rows):
+                calls.append(rows[:, 0].copy())
+                return f(rows[:, 0])
+
+            def lift(coords):
+                return coords, (coords[..., 0] <= cut if masked else None)
+
+            res = maximize_zoom(counted, scan[:, None], half, stop, lift)
+            x, value, evals, rounds = oracles.sequential_zoom_1d(
+                f, scan, half, stop, lambda t: (t, t <= cut if masked else None))
+            assert np.array_equal(_as_bits(*res.argmax, res.value),
+                                  _as_bits(x, value)), (kind, scan, half)
+            scored = sum(int(np.sum(x <= cut)) for x in calls[:-1]) + 1
+            assert res.evaluations == scored >= evals
+            ahead += _check_against_rounds(calls[1:-1], rounds)
+    assert ahead > 0
+
+
 class TestMaximizeSimplex:
     def test_dim2_product(self):
         res = maximize_simplex(lambda q: q[:, 0] * q[:, 1], dim=2)
