@@ -354,12 +354,23 @@ def _nested_max(joint, domain: Interval, solve=None, simplex=None):
     maximize_simplex the front end instead.  The best grid spacing seeds one
     joint zoom over (spacing, inner coordinates), a simplex row's last
     weight derived.  Returns (x*, row).
+
+    A simplex row only ranks its spacing, so the batched zoom stops once
+    its half-width is down to the joint zoom's first stencil step,
+    1/(6 _NESTED_CELLS) = 1/384: 2 rounds for three weights and 4 for two,
+    where 21 and 22 reach 1e-11.  The winner's row alone is solved to
+    1e-11, since the joint zoom's fixed shrinking stencils are sensitive to
+    their seed where the argmax lies in the first few grid cells (a coarse
+    seed moved such values by up to 0.3 %, either way).  So the seed, and
+    with it x* and the row, are those of every row solved to 1e-11 unless
+    the coarse rows rank another spacing first; either way the value is the
+    objective at a feasible point.
     """
     if simplex:
-        def solve(xs):
+        def solve(xs, stop=1.0 / (6 * _NESTED_CELLS)):
             opt = maximize_simplex(lambda rows: joint(
                 xs[:, None], *np.moveaxis(rows, -1, 0)), simplex,
-                batch=len(xs))
+                batch=len(xs), stop=stop)
             return opt.argmax, opt.value
     lift = {2: _lift_simplex2, 3: _lift_simplex3}.get(simplex)
 
@@ -370,9 +381,13 @@ def _nested_max(joint, domain: Interval, solve=None, simplex=None):
                                axis=-1), inside)
 
     grid = np.linspace(0.0, 1.0, _NESTED_CELLS + 1)
-    row, values = solve(_to_domain(grid, domain))
+    xs = _to_domain(grid, domain)
+    row, values = solve(xs)
     best = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
-    coords = [c[best] for c in row[:len(row) - (lift is not None)]]
+    row = [c[best] for c in row]
+    if simplex:
+        row = [c[0] for c in solve(xs[best:best + 1], stop=1e-11)[0]]
+    coords = row[:len(row) - (lift is not None)]
     opt = maximize_zoom(lambda rows: joint(*rows.T),
                         np.array([[grid[best], *coords]]),
                         1.0 / _NESTED_CELLS, 1e-12, joint_lift)
@@ -688,32 +703,48 @@ def three_point_exact_uniform(theta0: float = 1.0, s_domain=None) -> BoundReport
 
     The simplex weights sit on test scales theta0*(1 - s/n), theta0,
     theta0*(1 + s/n); the spacing theta0*s/n carries the theta0^2 factor.
+    A value that is not finite (theta0 past about 1.3e154) raises
+    ArithmeticError.
     """
     if not theta0 > 0:
         raise ValueError("theta0 must be positive")
     domain = _as_domain(s_domain)
 
     def rows_value(s, q, r, w):
-        es = np.exp(s)
-        den1 = q * es * es + r * es + w
-        t1 = np.where(den1 > 0.0,
-                      (q * r * es + 4.0 * q * w + r * w / es)
-                      / np.where(den1 > 0.0, den1, 1.0), 0.0)
-        den2 = r * es + w
-        t2 = np.where(den2 > 0.0,
-                      r * w * (1.0 - 1.0 / es) / np.where(den2 > 0.0, den2, 1.0),
-                      0.0)
+        # past s = 354 e^(2s) overflows and t1 falls to its limit 0; past
+        # 709 e^s does too, and a NaN row scores as -inf in the search
+        with np.errstate(over="ignore", invalid="ignore"):
+            es = np.exp(s)
+            den1 = q * es * es + r * es + w
+            t1 = np.where(den1 > 0.0,
+                          (q * r * es + 4.0 * q * w + r * w / es)
+                          / np.where(den1 > 0.0, den1, 1.0), 0.0)
+            den2 = r * es + w
+            t2 = np.where(den2 > 0.0, r * w * (1.0 - 1.0 / es)
+                          / np.where(den2 > 0.0, den2, 1.0), 0.0)
         return s * s * (t1 + t2)
 
     s_star, (q, r, w) = _nested_max(rows_value, domain, simplex=3)
+    # theta0 past 1.3e154 overflows theta0 ** 2: a float raises an
+    # OverflowError that names nothing and a numpy float warns; inf makes
+    # the value non-finite, refused below
+    try:
+        with np.errstate(over="ignore"):
+            scale = float(theta0 ** 2)
+    except OverflowError:
+        scale = math.inf
 
     def objective(s, q, r, w):
-        return theta0 ** 2 * float(rows_value(s, q, r, w))
+        return scale * float(rows_value(s, q, r, w))
 
     rate = RatePower(1.0, 2.0, "n")
     argmax = {"s": s_star, "q": q, "r": r, "w": w}
+    value = objective(**argmax)
+    if not math.isfinite(value):
+        raise ArithmeticError(f"three-point-exact value is not finite: {value} "
+                              f"at theta0 = {theta0:g}")
     return BoundReport(bound_id="three-point-exact", model_id="uniform-scale",
-                       value=objective(**argmax), loss=LossSpec.mse(),
+                       value=value, loss=LossSpec.mse(),
                        rate=rate, argmax=argmax,
                        notes=("exact three-hypothesis risk, not the pairwise "
                               "relaxation; s is the spacing in contraction "

@@ -282,7 +282,8 @@ def _lift_simplex3(c: np.ndarray):
     return np.clip(rows, 0.0, 1.0, out=rows), q + r <= 1.0 + 1e-15
 
 
-def maximize_simplex(f, dim: int, *, batch: int = 1) -> OptResult:
+def maximize_simplex(f, dim: int, *, batch: int = 1,
+                     stop: float = 1e-11) -> OptResult:
     """Maximize f over the probability simplex with ``dim`` weights.
 
     f receives an (m, dim) array of weight rows (nonnegative, summing to
@@ -291,15 +292,18 @@ def maximize_simplex(f, dim: int, *, batch: int = 1) -> OptResult:
 
     Barycentric grid scan (1025 points for dim 2, step 1/64 for dim 3)
     followed by maximize_zoom's shrinking local grids around the incumbent,
-    down to a half-width of 1e-11; off-simplex stencil points are not
-    scored.  Supports dim 2 and 3, which is all the multi-point bounds use.
+    from a half-width of 1/16 (dim 2) or 1/64 (dim 3), times 0.35 a round
+    while above ``stop``; off-simplex stencil points are not scored.  A
+    caller that refines the rows further itself may stop early: the nested
+    bounds stop at their joint zoom's first stencil step.  Supports dim 2
+    and 3, which is all the multi-point bounds use.
     """
     if dim not in (2, 3):
         raise ValueError("maximize_simplex supports dim 2 or 3 only")
     if dim == 2:
         return maximize_zoom(f, np.linspace(0.0, 1.0, 1025)[:, None],
-                             1.0 / 16, 1e-11, _lift_simplex2, batch=batch)
-    return maximize_zoom(f, _SIMPLEX3_GRID, 1.0 / 64, 1e-11, _lift_simplex3,
+                             1.0 / 16, stop, _lift_simplex2, batch=batch)
+    return maximize_zoom(f, _SIMPLEX3_GRID, 1.0 / 64, stop, _lift_simplex3,
                          batch=batch)
 
 

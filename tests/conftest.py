@@ -26,7 +26,11 @@ def exp_rate():
 
 
 # the reports below are shared session-wide: the free-pair-prior three-point
-# search is the one genuinely slow computation in the suite
+# search is the one genuinely slow computation in the suite.  Its 65 grid
+# spacings' simplex rows only rank them, so their batched zoom stops at the
+# joint zoom's first stencil step, 1/384; the winner's row alone is solved
+# to 1e-11 and seeds the joint zoom, so the values are those of every row
+# solved in full
 
 @pytest.fixture(scope="session")
 def three_point_uniform_free(uniform_scale):

@@ -326,6 +326,26 @@ class TestCompute:
         assert rc == 3 and out == ""
         assert "numerical failure" in err and "not finite: inf" in err
 
+    def test_three_point_exact_overflow_is_a_numerical_failure(self, capsys):
+        # theta0 ** 2 overflowed with a bare "(34, 'Numerical result out of
+        # range')"
+        rc, out, err = run_cli(capsys, "compute", "--model", "uniform-scale",
+                               "--bound", "three-point-exact",
+                               "--param", "theta=1e200")
+        assert rc == 3 and out == ""
+        assert ("numerical failure: three-point-exact value is not finite: "
+                "inf at theta0 = 1e+200") in err
+
+    @pytest.mark.parametrize("smax", ["400", "2000"])
+    def test_three_point_exact_far_spacings_warn_nothing(self, capsys, smax):
+        # e^(2s) overflows past s = 354 and e^s past 709; a RuntimeWarning
+        # used to escape, which fails this test as an error
+        rc, out, err = run_cli(capsys, "compute", "--model", "uniform-scale",
+                               "--bound", "three-point-exact", "--smax",
+                               smax, "--format", "json")
+        assert rc == 0 and err == ""
+        assert 0.0 < json.loads(out)["value"] < math.inf
+
     def test_missing_required_parameter(self, capsys):
         rc, _, err = run_cli(capsys, "compute", "--model", "exp-rate",
                              "--bound", "two-point")
@@ -714,6 +734,21 @@ class TestReproduce:
         assert lines[0].startswith("label,model,bound,")
         assert len(lines) == 4
         assert all(",True," in line for line in lines[1:])
+
+    def test_seeded_json_matches_the_committed_output(self, capsys):
+        # every check and every non-Monte-Carlo entry, to its last printed
+        # digit; the two Monte-Carlo estimates follow numpy's generator and
+        # are held to their Wilson check instead
+        rc, out, _ = run_cli(capsys, "reproduce", "--jobs", "1", "--format",
+                             "json", "--seed", "12345")
+        assert rc == 0
+        payload = json.loads(out)
+        mc = [e for e in payload["entries"] if e["bound"] == "mc-pe"]
+        assert len(mc) == 2 and all(e["passed"] for e in mc)
+        payload["entries"] = [e for e in payload["entries"]
+                              if e["bound"] != "mc-pe"]
+        committed = Path(__file__).parent / "data" / "reproduce_seed12345.json"
+        assert payload == json.loads(committed.read_text())
 
     def test_verification_failure_aborts(self, capsys, monkeypatch):
         broken = verify.CheckReport(check_id="fake", max_abs_error=1.0,
